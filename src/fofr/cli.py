@@ -13,9 +13,14 @@ import logging
 import os
 import sys
 
-import numpy as np
-
-from fofr.core import load_dataset, load_schema, write_dataset, write_schema
+from fofr.core import (
+    PREDICTIONS_HEADER,
+    _read_series,
+    load_dataset,
+    load_schema,
+    write_dataset,
+    write_schema,
+)
 from fofr.errors import (
     AllCandidatesDegenerate,
     BadGridSize,
@@ -34,10 +39,11 @@ from fofr.errors import (
     PipelineError,
     VersionMismatch,
 )
+from fofr.fpca import fve_table
 from fofr.pipeline import (
     MetricsReport,
     PipelineConfig,
-    evaluate as evaluate_predictions,
+    _score_series,
     load_model,
     predict_pipeline,
     save_model,
@@ -46,13 +52,9 @@ from fofr.pipeline import (
 )
 from fofr.synthgen import dataset_schema, generate, load_scenario, save_ground_truth
 
-logger = logging.getLogger("fofr")
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
-
-PREDICTIONS_HEADER = ["subject_id", "variable_id", "time", "value"]
 
 #: errors attributable to user input or configuration
 _INPUT_ERRORS = (MalformedRow, DuplicateTimestamp, DomainViolation, MissingChannel,
@@ -228,90 +230,12 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _read_long_csv(path, want_role=None):
-    """Parse a 4- or 5-column long CSV into {(subject, variable): (times, values)}.
-
-    5-column files carry a role column; ``want_role`` filters on it.
-    """
-    table = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header == PREDICTIONS_HEADER:
-            has_role = False
-        elif header == ["subject_id", "variable_id", "role", "time", "value"]:
-            has_role = True
-        else:
-            raise MalformedRow(f"{path}: unrecognized header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRow(f"{path}:{lineno}: expected {len(header)} fields")
-            if has_role:
-                sid, var, role, t_raw, v_raw = row
-                if want_role is not None and role != want_role:
-                    continue
-            else:
-                sid, var, t_raw, v_raw = row
-            try:
-                t, v = float(t_raw), float(v_raw)
-            except ValueError as exc:
-                raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
-            table.setdefault((sid, var), []).append((t, v))
-    if not table:
-        raise MalformedRow(f"{path}: no usable data rows")
-    out = {}
-    for key, obs in table.items():
-        obs.sort(key=lambda tv: tv[0])
-        out[key] = (np.array([t for t, _ in obs]), np.array([v for _, v in obs]))
-    return out
-
-
 def evaluate_csv(pred_path, truth_path) -> MetricsReport:
     """Metrics of a predictions CSV against a truth CSV, no schema needed."""
-    pred = _read_long_csv(pred_path)
-    truth = _read_long_csv(truth_path, want_role="response")
-    pred_channels = sorted({var for _, var in pred})
-    truth_channels = {var for _, var in truth}
-    missing = [c for c in pred_channels if c not in truth_channels]
-    if missing:
-        raise ChannelMismatch(f"truth lacks predicted channels {missing}")
-    pred_subjects = {sid for sid, _ in pred}
-    truth_subjects = sorted({sid for sid, _ in truth})
-    common = [sid for sid in truth_subjects if sid in pred_subjects]
-    if not common:
-        raise NoOverlap("no subjects shared between predictions and truth")
-    if len(common) < len(truth_subjects) or len(common) < len(pred_subjects):
-        logger.warning("evaluating %d common subjects (%d truth, %d predicted)",
-                       len(common), len(truth_subjects), len(pred_subjects))
-
-    rmse, rmse_sqrt, rmspe, excluded = [], [], [], []
-    for name in pred_channels:
-        sse, n_obs = 0.0, 0
-        ratios, n_zero = [], 0
-        for sid in common:
-            if (sid, name) not in truth or (sid, name) not in pred:
-                continue
-            tt, tv = truth[(sid, name)]
-            pt, pv = pred[(sid, name)]
-            interp = np.interp(tt, pt, pv)
-            resid = tv - interp
-            sq = float(np.dot(resid, resid))
-            sse += sq
-            n_obs += len(tt)
-            denom = float(np.dot(tv, tv))
-            if denom == 0.0:
-                n_zero += 1
-            else:
-                ratios.append(sq / denom)
-        if n_obs == 0:
-            raise NoOverlap(f"channel {name!r}: no overlapping observations")
-        mse = sse / n_obs
-        rmse.append(mse)
-        rmse_sqrt.append(float(np.sqrt(mse)))
-        rmspe.append(float(np.mean(ratios)) if ratios else 0.0)
-        excluded.append(n_zero)
-    return MetricsReport(tuple(pred_channels), tuple(rmse), tuple(rmse_sqrt),
-                         tuple(rmspe), len(common), tuple(excluded))
+    predicted = _read_series(pred_path)
+    observed = _read_series(truth_path, role="response")
+    return _score_series(predicted, observed, sorted({name for _, name in predicted}),
+                         sorted({sid for sid, _ in observed}))
 
 
 def cmd_evaluate(args) -> int:
@@ -335,21 +259,15 @@ def cmd_evaluate(args) -> int:
 
 def fpca_report(model) -> dict:
     def side_report(side):
-        channels = []
-        for system in side.univariate:
-            lam = system.eigenvalues
-            total = float(np.sum(lam)) if len(lam) else 0.0
-            channels.append({
-                "channel": system.channel,
-                "eigenvalues": lam.tolist(),
-                "fve": (np.cumsum(lam) / total).tolist() if total > 0 else [],
-                "n_components": system.n_components,
-            })
         lam = side.multivariate.eigenvalues
         return {
-            "channels": channels,
+            "channels": [{"channel": system.channel,
+                          "eigenvalues": system.eigenvalues.tolist(),
+                          "fve": [row["fve"] for row in fve_table(system.eigenvalues)],
+                          "n_components": system.n_components}
+                         for system in side.univariate],
             "multivariate_eigenvalues": lam.tolist(),
-            "multivariate_fve": (np.cumsum(lam) / float(np.sum(lam))).tolist(),
+            "multivariate_fve": [row["fve"] for row in fve_table(lam)],
             "n_components": side.multivariate.n_components,
         }
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from fofr.errors import (
 )
 
 CSV_HEADER = ["subject_id", "variable_id", "role", "time", "value"]
+PREDICTIONS_HEADER = ["subject_id", "variable_id", "time", "value"]
 
 #: minimum number of distinct pooled observation times per channel
 MIN_POOLED_TIMES = 10
@@ -160,30 +162,22 @@ class FunctionalDataset:
             raise InsufficientCoverage(f"need at least 2 subjects, got {self.n_subjects}")
         if self.n_covariates < 1 or self.n_responses < 1:
             raise MissingChannel("need at least one covariate and one response channel")
-        if len(self.covariates) != self.n_subjects:
-            raise MissingChannel("covariates rows do not match subject count")
-        for sid, row in zip(self.subject_ids, self.covariates):
-            if len(row) != self.n_covariates:
-                raise MissingChannel(f"subject {sid!r} lacks a covariate channel")
-            for name, series in zip(self.covariate_names, row):
-                if not self.covariate_domain.contains(series.times):
-                    raise DomainViolation(
-                        f"subject {sid!r} channel {name!r}: time outside covariate domain")
+        sides = [("covariate", self.covariate_names, self.covariate_domain, self.covariates)]
         if self.responses is not None:
-            if len(self.responses) != self.n_subjects:
-                raise MissingChannel("responses rows do not match subject count")
-            for sid, row in zip(self.subject_ids, self.responses):
-                if len(row) != self.n_responses:
-                    raise MissingChannel(f"subject {sid!r} lacks a response channel")
-                for name, series in zip(self.response_names, row):
-                    if not self.response_domain.contains(series.times):
+            sides.append(("response", self.response_names, self.response_domain, self.responses))
+        for side, names, domain, rows in sides:
+            if len(rows) != self.n_subjects:
+                raise MissingChannel(f"{side}s rows do not match subject count")
+            for sid, row in zip(self.subject_ids, rows):
+                if len(row) != len(names):
+                    raise MissingChannel(f"subject {sid!r} lacks a {side} channel")
+                for name, series in zip(names, row):
+                    if not domain.contains(series.times):
                         raise DomainViolation(
-                            f"subject {sid!r} channel {name!r}: time outside response domain")
-        for r, name in enumerate(self.covariate_names):
-            _check_coverage(self.covariate_channel(r), self.covariate_domain, name)
-        if self.responses is not None:
-            for d, name in enumerate(self.response_names):
-                _check_coverage(self.response_channel(d), self.response_domain, name)
+                            f"subject {sid!r} channel {name!r}: time outside {side} domain")
+        for side, names, domain, rows in sides:
+            for c, name in enumerate(names):
+                _check_coverage([row[c] for row in rows], domain, name)
 
 
 def _check_coverage(series_set, domain: Interval, name: str):
@@ -210,8 +204,12 @@ class DatasetSchema:
     grid_size: int = 101
 
     def __post_init__(self):
-        object.__setattr__(self, "covariates", tuple(self.covariates))
-        object.__setattr__(self, "responses", tuple(self.responses))
+        for side in ("covariates", "responses"):
+            names = getattr(self, side)
+            if not isinstance(names, (list, tuple)):
+                raise MalformedRow(
+                    f"schema {side} must be a list of variable ids, got {names!r}")
+            object.__setattr__(self, side, tuple(names))
         if not self.covariates or not self.responses:
             raise MissingChannel("schema must declare at least one covariate and one response")
         overlap = set(self.covariates) & set(self.responses)
@@ -250,74 +248,140 @@ def load_schema(path) -> DatasetSchema:
     return DatasetSchema.from_dict(payload)
 
 
+def _read_columns(path, headers=(CSV_HEADER,)):
+    """Stream a long CSV whose header is one of ``headers`` into columns,
+    rejecting a wrong field count and non-numeric or non-finite numbers.
+
+    Returns ``(ids, times, values)``.  ``ids`` holds a ``(names, codes)`` pair
+    per id column (subject, variable, then role if the file has one); names
+    are in order of first appearance.  Row i of the columns is line i + 2.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header not in headers:
+            expected = " or ".join(repr(",".join(h)) for h in headers)
+            raise MalformedRow(f"{path}: expected header {expected}, got {header!r}")
+        seen = [{} for _ in header[:-2]]  # id -> code in order of appearance
+        codes = [array("i") for _ in header[:-2]]
+        times, values = array("d"), array("d")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise MalformedRow(f"{path}:{lineno}: expected {len(header)} fields, "
+                                   f"got {len(row)}")
+            try:
+                times.append(float(row[-2]))
+                values.append(float(row[-1]))
+            except ValueError as exc:
+                raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
+            for first, column, name in zip(seen, codes, row):
+                column.append(first.setdefault(name, len(first)))
+
+    if not times:
+        raise MalformedRow(f"{path}: no data rows")
+    times, values = np.frombuffer(times), np.frombuffer(values)
+    bad = ~(np.isfinite(times) & np.isfinite(values))
+    if bad.any():
+        raise MalformedRow(f"{path}:{np.argmax(bad) + 2}: non-finite time/value")
+    ids = [(list(first), np.frombuffer(column, dtype=np.int32))
+           for first, column in zip(seen, codes)]
+    return ids, times, values
+
+
+def _group(ids, times, values):
+    """Sort the rows of ``_read_columns`` stably by (subject, variable, time).
+
+    Returns a mask of the rows that repeat an earlier row's (subject,
+    variable, time), and {(subject, variable): (times, values)}.
+    """
+    (subjects, subject), (variables, variable) = ids[:2]
+    order = np.lexsort((times, variable, subject))
+    subject, variable, sorted_times = subject[order], variable[order], times[order]
+    same = (subject[1:] == subject[:-1]) & (variable[1:] == variable[:-1])
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:]] = same & (sorted_times[1:] == sorted_times[:-1])
+    starts = np.concatenate(([0], np.flatnonzero(~same) + 1)).tolist()
+    # fancy indexing copies: a view would keep the whole file's columns alive
+    groups = {(subjects[subject[a]], variables[variable[a]]):
+              (times[order[a:b]], values[order[a:b]])
+              for a, b in zip(starts, starts[1:] + [len(order)])}
+    return repeat, groups
+
+
+def _read_series(path, role=None) -> dict:
+    """{(subject, variable): (times, values)} of a long CSV in either dialect.
+
+    In a file with a role column, ``role`` keeps only the rows of that role.
+    """
+    ids, times, values = _read_columns(path, (CSV_HEADER, PREDICTIONS_HEADER))
+    if role is not None and len(ids) == 3:
+        roles, row_role = ids.pop()
+        keep = np.array([r == role for r in roles])[row_role]
+        if not keep.any():
+            raise MalformedRow(f"{path}: no {role} rows")
+        ids = [(names, codes[keep]) for names, codes in ids]
+        times, values = times[keep], values[keep]
+    return _group(ids, times, values)[1]
+
+
 def load_dataset(path, schema: DatasetSchema) -> FunctionalDataset:
     """Parse and validate a long-format CSV into a FunctionalDataset.
 
     Rows may arrive in any order; they are grouped by (subject, variable) and
     sorted by time.  Every subject appearing in the file must carry every
     declared covariate channel; responses are either present for all subjects
-    or absent entirely (prediction-only data).
+    or absent entirely (prediction-only data).  Each error names the line of
+    the first row with that fault.
     """
-    role_of = {v: "covariate" for v in schema.covariates}
-    role_of.update({v: "response" for v in schema.responses})
+    ids, times, values = _read_columns(path)
+    (subjects, subject), (variables, variable), (roles, role) = ids
+    declared = {v: ("covariate", schema.covariate_domain) for v in schema.covariates}
+    declared.update({v: ("response", schema.response_domain) for v in schema.responses})
 
-    rows = {}  # (subject, variable) -> list of (time, value)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise MalformedRow(f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise MalformedRow(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            sid, var, role, t_raw, v_raw = row
-            if var not in role_of:
-                raise MalformedRow(f"{path}:{lineno}: undeclared variable {var!r}")
-            if role != role_of[var]:
-                raise MalformedRow(
-                    f"{path}:{lineno}: variable {var!r} declared {role_of[var]!r}, row says {role!r}")
-            try:
-                t = float(t_raw)
-                v = float(v_raw)
-            except ValueError as exc:
-                raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
-            if not (np.isfinite(t) and np.isfinite(v)):
-                raise MalformedRow(f"{path}:{lineno}: non-finite time/value")
-            domain = schema.covariate_domain if role == "covariate" else schema.response_domain
-            if not domain.contains(t):
-                raise DomainViolation(
-                    f"{path}:{lineno}: time {t} outside declared interval "
-                    f"[{domain.lo}, {domain.hi}] for {var!r}")
-            rows.setdefault((sid, var), []).append((t, v))
+    var_roles = [declared[v][0] if v in declared else None for v in variables]
+    bad = ~np.array([[r == row_role for row_role in roles] for r in var_roles])[variable, role]
+    if bad.any():
+        i = int(np.argmax(bad))
+        var = variables[variable[i]]
+        if var not in declared:
+            raise MalformedRow(f"{path}:{i + 2}: undeclared variable {var!r}")
+        raise MalformedRow(f"{path}:{i + 2}: variable {var!r} declared {declared[var][0]!r}, "
+                           f"row says {roles[role[i]]!r}")
+    domains = [declared[v][1] for v in variables]
+    bad = times < np.array([d.lo for d in domains])[variable]
+    bad |= times > np.array([d.hi for d in domains])[variable]
+    if bad.any():
+        i = int(np.argmax(bad))
+        domain = domains[variable[i]]
+        raise DomainViolation(
+            f"{path}:{i + 2}: time {float(times[i])} outside declared interval "
+            f"[{domain.lo}, {domain.hi}] for {variables[variable[i]]!r}")
 
-    if not rows:
-        raise MalformedRow(f"{path}: no data rows")
+    repeat, groups = _group(ids, times, values)
+    if repeat.any():
+        i = int(np.argmax(repeat))
+        raise DuplicateTimestamp(
+            f"{path}:{i + 2}: subject {subjects[subject[i]]!r} variable "
+            f"{variables[variable[i]]!r}: duplicate time {float(times[i])}")
 
-    subjects = sorted({sid for sid, _ in rows})
-    have_responses = any(var in set(schema.responses) for _, var in rows)
+    def series(sid, var):
+        if (sid, var) not in groups:
+            first = np.argmax(subject == subjects.index(sid))
+            raise MissingChannel(
+                f"{path}:{first + 2}: subject {sid!r} lacks declared variable {var!r}")
+        return ObservationSeries(*groups[sid, var])
 
-    def build_series(sid, var):
-        obs = rows.get((sid, var))
-        if obs is None:
-            raise MissingChannel(f"subject {sid!r} lacks declared variable {var!r}")
-        obs.sort(key=lambda tv: tv[0])
-        times = np.array([t for t, _ in obs])
-        if len(times) > 1 and np.any(np.diff(times) == 0):
-            dup = times[np.flatnonzero(np.diff(times) == 0)[0]]
-            raise DuplicateTimestamp(f"subject {sid!r} variable {var!r}: duplicate time {dup}")
-        return ObservationSeries(times, np.array([v for _, v in obs]))
-
-    covariates = [[build_series(sid, var) for var in schema.covariates] for sid in subjects]
+    subject_ids = sorted(subjects)
+    covariates = [[series(sid, var) for var in schema.covariates] for sid in subject_ids]
     responses = None
-    if have_responses:
-        responses = [[build_series(sid, var) for var in schema.responses] for sid in subjects]
-
+    if "response" in var_roles:
+        responses = [[series(sid, var) for var in schema.responses] for sid in subject_ids]
     return FunctionalDataset(
         covariate_domain=schema.covariate_domain,
         response_domain=schema.response_domain,
         covariate_names=schema.covariates,
         response_names=schema.responses,
-        subject_ids=subjects,
+        subject_ids=subject_ids,
         covariates=covariates,
         responses=responses,
     )

@@ -257,9 +257,9 @@ def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label,
         # covariance of the standardized process, by rescaling the raw surface
         sd = np.sqrt(params.var_values)
         z_surface = CovarianceSurface(grid, surface.values / np.outer(sd, sd))
-        ch_diag = {"variance_floor": variance_floor(np.diag(surface.values)),
-                   "n_variance_clipped": int(np.sum(np.diag(surface.values)
-                                                    < variance_floor(np.diag(surface.values))))}
+        variance = np.diag(surface.values)
+        floor = variance_floor(variance)
+        ch_diag = {"variance_floor": floor, "n_variance_clipped": int(np.sum(variance < floor))}
         cap = min(n_subjects - 1, grid.size)
         uni_rule = TruncationRule(rule.fve_cutoff,
                                   cap if rule.max_components is None
@@ -403,43 +403,58 @@ def evaluate(predictions: PredictionSet, truth: FunctionalDataset) -> MetricsRep
     """
     if truth.responses is None:
         raise NoOverlap("truth dataset has no responses")
-    pred_index = {sid: i for i, sid in enumerate(predictions.subject_ids)}
-    common = [sid for sid in truth.subject_ids if sid in pred_index]
+    observed = {(sid, name): (series.times, series.values)
+                for sid, row in zip(truth.subject_ids, truth.responses)
+                for name, series in zip(truth.response_names, row)}
+    predicted = {(sid, name): (predictions.grid.points, predictions.values[i, d])
+                 for i, sid in enumerate(predictions.subject_ids)
+                 for d, name in enumerate(predictions.channel_names)}
+    return _score_series(predicted, observed, predictions.channel_names, truth.subject_ids)
+
+
+def _score_series(predicted: dict, observed: dict, channels, truth_subjects) -> MetricsReport:
+    """Metrics of ``predicted`` against ``observed`` curves, both mapping
+    (subject, channel) to (times, values).
+
+    Channels are reported in the order of ``channels``, and each sum runs over
+    the subjects of ``truth_subjects`` that were predicted, in that order.
+    """
+    missing = sorted(set(channels) - {name for _, name in observed})
+    if missing:
+        raise ChannelMismatch(f"truth lacks predicted channels {missing}")
+    predicted_subjects = {sid for sid, _ in predicted}
+    common = [sid for sid in truth_subjects if sid in predicted_subjects]
     if not common:
         raise NoOverlap("no subjects shared between predictions and truth")
-    if len(common) < len(truth.subject_ids) or len(common) < len(predictions.subject_ids):
+    if len(common) < len(truth_subjects) or len(common) < len(predicted_subjects):
         logger.warning("evaluating %d common subjects (%d truth, %d predicted)",
-                       len(common), len(truth.subject_ids), len(predictions.subject_ids))
-    name_to_d = {name: d for d, name in enumerate(predictions.channel_names)}
-    truth_index = {sid: i for i, sid in enumerate(truth.subject_ids)}
+                       len(common), len(truth_subjects), len(predicted_subjects))
 
     rmse, rmse_sqrt, rmspe, excluded = [], [], [], []
-    for name in predictions.channel_names:
-        if name not in truth.response_names:
-            raise ChannelMismatch(f"truth lacks predicted channel {name!r}")
-        d_truth = truth.response_names.index(name)
-        d_pred = name_to_d[name]
+    for name in channels:
         sse, n_obs = 0.0, 0
         ratios, n_zero = [], 0
         for sid in common:
-            series = truth.responses[truth_index[sid]][d_truth]
-            pred = np.interp(series.times, predictions.grid.points,
-                             predictions.values[pred_index[sid], d_pred])
-            resid = series.values - pred
+            if (sid, name) not in observed or (sid, name) not in predicted:
+                continue
+            times, values = observed[sid, name]
+            resid = values - np.interp(times, *predicted[sid, name])
             sq = float(np.dot(resid, resid))
             sse += sq
-            n_obs += len(series)
-            denom = float(np.dot(series.values, series.values))
+            n_obs += len(times)
+            denom = float(np.dot(values, values))
             if denom == 0.0:
                 n_zero += 1
             else:
                 ratios.append(sq / denom)
+        if n_obs == 0:
+            raise NoOverlap(f"channel {name!r}: no overlapping observations")
         mse = sse / n_obs
         rmse.append(mse)
         rmse_sqrt.append(float(np.sqrt(mse)))
         rmspe.append(float(np.mean(ratios)) if ratios else 0.0)
         excluded.append(n_zero)
-    return MetricsReport(predictions.channel_names, tuple(rmse), tuple(rmse_sqrt),
+    return MetricsReport(tuple(channels), tuple(rmse), tuple(rmse_sqrt),
                          tuple(rmspe), len(common), tuple(excluded))
 
 

@@ -82,7 +82,8 @@ class FflmParams:
     B: np.ndarray
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=float)
+        # C order whatever the source, so that a reloaded B predicts bit-equal
+        B = np.ascontiguousarray(self.B, dtype=float)
         object.__setattr__(self, "B", B)
         if B.ndim != 2 or not np.all(np.isfinite(B)):
             raise ShapeMismatch("B must be a finite 2-d matrix")

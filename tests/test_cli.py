@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from fofr.cli import main
+from fofr.cli import evaluate_csv, main, write_predictions_csv
+from fofr.core import load_dataset, load_schema
+from fofr.pipeline import evaluate, load_model, predict_pipeline
 
 
 def run(capsys, *argv):
@@ -207,6 +209,22 @@ class TestEvaluate:
         assert code == 0
         assert "rmse" in out and "rmse_sqrt" in out and "rmspe" in out
         assert "y1" in out and "y2" in out
+
+    def test_csv_metrics_equal_in_memory_metrics(self, trained):
+        tmp, out_dir, model, _ = trained
+        truth = load_dataset(out_dir / "data.csv", load_schema(out_dir / "schema.json"))
+        predictions = predict_pipeline(load_model(model), truth)
+        pred = tmp / "pred.csv"
+        write_predictions_csv(predictions, pred)
+        from_csv = evaluate_csv(pred, out_dir / "data.csv")
+        in_memory = evaluate(predictions, truth)
+        assert from_csv.channel_names == in_memory.channel_names == ("y1", "y2")
+        assert from_csv.n_subjects == in_memory.n_subjects == 40
+        for d in range(2):
+            assert from_csv.rmse[d] == in_memory.rmse[d]
+            assert from_csv.rmse_sqrt[d] == in_memory.rmse_sqrt[d]
+            assert from_csv.rmspe[d] == in_memory.rmspe[d]
+            assert from_csv.n_excluded_rmspe[d] == in_memory.n_excluded_rmspe[d]
 
     def test_bad_header_exit_2(self, synthesized, tmp_path, capsys):
         _, out_dir = synthesized

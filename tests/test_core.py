@@ -104,6 +104,14 @@ class TestSchema:
         with pytest.raises(MissingChannel):
             DatasetSchema((), ("y1",), Interval(0, 1), Interval(0, 1))
 
+    def test_rejects_string_channel_list(self):
+        d = {"covariates": "x1", "responses": ["y1"],
+             "covariate_domain": [0, 1], "response_domain": [0, 1]}
+        with pytest.raises(MalformedRow, match="covariates must be a list"):
+            DatasetSchema.from_dict(d)
+        with pytest.raises(MalformedRow, match="responses must be a list"):
+            DatasetSchema.from_dict(dict(d, covariates=["x1"], responses="y1"))
+
 
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
@@ -160,6 +168,10 @@ class TestCsvRejection:
         out.write_text("\n".join(fn(lines)) + "\n")
         return out
 
+    @staticmethod
+    def _last_line(path):
+        return f":{len(path.read_text().splitlines())}:"
+
     def test_bad_header(self, written):
         path, schema, tmp = written
         bad = self._mutate(path, tmp, lambda ls: ["a,b,c,d,e"] + ls[1:])
@@ -176,39 +188,47 @@ class TestCsvRejection:
         path, schema, tmp = written
         bad = self._mutate(path, tmp,
                            lambda ls: ls + ["s0000,mystery,covariate,0.5,1.0"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow, match=self._last_line(bad)):
             load_dataset(bad, schema)
 
     def test_role_mismatch(self, written):
         path, schema, tmp = written
         bad = self._mutate(path, tmp, lambda ls: ls + ["s0000,x1,response,0.5,1.0"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow, match=self._last_line(bad)):
             load_dataset(bad, schema)
 
     def test_non_numeric_value(self, written):
         path, schema, tmp = written
         bad = self._mutate(path, tmp, lambda ls: ls + ["s0000,x1,covariate,0.5,abc"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow, match=self._last_line(bad)):
+            load_dataset(bad, schema)
+
+    def test_non_finite_value(self, written):
+        path, schema, tmp = written
+        bad = self._mutate(path, tmp, lambda ls: ls + ["s0000,x1,covariate,0.5,nan"])
+        with pytest.raises(MalformedRow, match=self._last_line(bad) + " non-finite"):
             load_dataset(bad, schema)
 
     def test_out_of_domain_time(self, written):
         path, schema, tmp = written
         bad = self._mutate(path, tmp, lambda ls: ls + ["s0000,x1,covariate,7.5,1.0"])
-        with pytest.raises(DomainViolation):
+        with pytest.raises(DomainViolation, match=self._last_line(bad)):
             load_dataset(bad, schema)
 
     def test_duplicate_timestamp(self, written):
         path, schema, tmp = written
         dup = [line for line in path.read_text().splitlines() if "s0000,x1" in line][0]
         bad = self._mutate(path, tmp, lambda ls: ls + [dup])
-        with pytest.raises(DuplicateTimestamp):
+        with pytest.raises(DuplicateTimestamp, match=self._last_line(bad)):
             load_dataset(bad, schema)
 
     def test_missing_channel(self, written):
         path, schema, tmp = written
         bad = self._mutate(path, tmp,
                            lambda ls: [l for l in ls if not l.startswith("s0001,x2")])
-        with pytest.raises(MissingChannel):
+        first = next(n for n, l in enumerate(bad.read_text().splitlines(), start=1)
+                     if l.startswith("s0001,"))
+        with pytest.raises(MissingChannel, match=f":{first}: subject 's0001' lacks .*'x2'"):
             load_dataset(bad, schema)
 
     @given(st.integers(min_value=1, max_value=200))

@@ -240,7 +240,7 @@ class TestPersistence:
         loaded = load_model(path)
         a = predict_pipeline(model, data).values
         b = predict_pipeline(loaded, data).values
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(a, b)
 
     def test_save_is_deterministic(self, fflm_model, tmp_path):
         model, _ = fflm_model
