@@ -1,12 +1,15 @@
 """Local-linear kernel estimation of mean functions and covariance surfaces.
 
 The mean smoother fits a kernel-weighted line through the pooled
-(time, value) pairs of all subjects at every grid point; the covariance
-smoother fits a kernel-weighted plane through the pooled raw cross products
-(off-diagonal pairs only, which removes measurement-error bias from the
-diagonal).  Observations sharing the exact same time (or time pair) are
-collapsed into sufficient statistics first, so densely and regularly
-sampled designs cost no more than their number of distinct sites.
+(time, value) pairs of all subjects at every grid point; observations
+sharing the exact same time are collapsed into sufficient statistics first.
+The covariance smoother fits a kernel-weighted plane through the pooled raw
+cross products (off-diagonal pairs only, which removes measurement-error
+bias from the diagonal).  The product kernel factorizes over the two times
+and every raw product stays within one subject, so each moment of the plane
+is a sum over subjects of products of per-subject kernel sums, minus the
+diagonal (same observation twice) term, which is collected by time.  No
+pair is ever formed: the cost follows subjects, distinct times and the grid.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from fofr.core import EvalGrid, ObservationSeries
 from fofr.errors import (
@@ -30,6 +34,11 @@ KERNEL_FAMILIES = ("gaussian", "epanechnikov")
 
 #: relative weight-mass floor below which a window counts as degenerate
 MASS_FLOOR = 1e-12
+
+#: covariance kernel weights below this are zeroed: their products underflow
+#: to subnormal numbers, which slow the matrix products several-fold, and
+#: they move a window that passes MASS_FLOOR by under 1e-88 relative
+WEIGHT_FLUSH = 1e-100
 
 #: sentinel bandwidth values
 AUTO = "auto"      # subject-level cross-validated selection
@@ -121,12 +130,14 @@ def plugin_bandwidth(series_set, grid: EvalGrid) -> float:
 def resolve_bandwidths(series_set, kernel: KernelSpec, grid: EvalGrid) -> KernelSpec:
     """Replace sentinel bandwidths with concrete values."""
     out = kernel
+    plugin = (plugin_bandwidth(series_set, grid)
+              if PLUGIN in (kernel.bandwidth_mean, kernel.bandwidth_cov) else None)
     if out.bandwidth_mean == PLUGIN:
-        out = replace(out, bandwidth_mean=plugin_bandwidth(series_set, grid))
+        out = replace(out, bandwidth_mean=plugin)
     elif out.bandwidth_mean == AUTO:
         out = replace(out, bandwidth_mean=select_bandwidth(series_set, kernel.family, grid, "mean"))
     if out.bandwidth_cov == PLUGIN:
-        out = replace(out, bandwidth_cov=plugin_bandwidth(series_set, grid))
+        out = replace(out, bandwidth_cov=plugin)
     elif out.bandwidth_cov == AUTO:
         out = replace(out, bandwidth_cov=select_bandwidth(series_set, kernel.family, grid, "covariance"))
     return out
@@ -205,51 +216,43 @@ def _raw_pairs(series_set, mean: MeanFunction):
     return (np.concatenate(t1_parts), np.concatenate(t2_parts), np.concatenate(u_parts))
 
 
-def _collapse_pair_sites(t1, t2, u):
-    key = np.lexsort((t2, t1))
-    t1, t2, u = t1[key], t2[key], u[key]
-    stacked = np.column_stack([t1, t2])
-    _, start = np.unique(stacked, axis=0, return_index=True)
-    start = np.sort(start)
-    counts = np.diff(np.append(start, len(t1))).astype(float)
-    usums = np.add.reduceat(u, start)
-    return t1[start], t2[start], counts, usums
-
-
 def smooth_covariance(series_set, mean: MeanFunction, kernel: KernelSpec,
                       grid: EvalGrid) -> CovarianceSurface:
     """Local-plane fit of pooled raw products on every grid pair, symmetrized."""
     h = _require_float(kernel.bandwidth_cov, "bandwidth_cov")
-    t1, t2, u = _raw_pairs(series_set, mean)
-    s1, s2, counts, usums = _collapse_pair_sites(t1, t2, u)
-    total = float(np.sum(counts))
-
-    # shift to the interval midpoint for conditioning
-    c = 0.5 * (grid.points[0] + grid.points[-1])
-    g = grid.points - c
-    s1 = s1 - c
-    s2 = s2 - c
+    paired = [s for s in series_set if len(s) > 1]
+    if not paired:
+        raise NoPairs("no subject has at least 2 observations")
+    lengths = np.array([len(s) for s in paired])
+    times = np.concatenate([s.times for s in paired])
+    resid = np.concatenate([s.values for s in paired]) - mean.at(times)
+    total = float(np.sum(lengths * (lengths - 1)))
+    sites, site_of = np.unique(times, return_inverse=True)
     G = grid.size
 
-    M = np.zeros((5 * G, 3 * G))
-    chunk = 20000
-    for lo in range(0, len(s1), chunk):
-        hi = lo + chunk
-        a1, a2 = s1[lo:hi], s2[lo:hi]
-        n, su = counts[lo:hi], usums[lo:hi]
-        w1 = kernel.weights((a1[None, :] - g[:, None]) / h)
-        w2 = kernel.weights((a2[None, :] - g[:, None]) / h)
-        A = np.concatenate([w1 * n, w1 * (n * a1), w1 * (n * a1 * a1),
-                            w1 * su, w1 * (su * a1)], axis=0)
-        B = np.concatenate([w2, w2 * a2, w2 * (a2 * a2)], axis=0)
-        M += A @ B.T
+    # kernel tables per site and grid point, d = t - g: W0 = K(d / h), W1 = W0 d, W2 = W1 d
+    d = sites[:, None] - grid.points[None, :]
+    w0 = kernel.weights(d / h)
+    w0[w0 < WEIGHT_FLUSH] = 0.0
+    w1 = w0 * d
+    W = np.concatenate([w0, w1, w1 * d], axis=1)
 
-    def block(i, j):
-        return M[i * G:(i + 1) * G, j * G:(j + 1) * G]
+    # per-subject kernel sums of counts and residuals; their outer products
+    # cover every within-subject pair, the diagonal j = j' included
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    shape = (len(paired), len(sites))
+    C = sparse.csr_matrix((np.ones(len(times)), site_of, indptr), shape=shape) @ W
+    R = sparse.csr_matrix((resid, site_of, indptr), shape=shape) @ W[:, :2 * G]
+    # the diagonal term, collected by site
+    n = np.bincount(site_of, minlength=len(sites)).astype(float)
+    rsq = np.bincount(site_of, weights=resid * resid, minlength=len(sites))
+    S = C.T @ C[:, :2 * G] - W.T @ (n[:, None] * W[:, :2 * G])
+    U = R.T @ R[:, :G] - W[:, :2 * G].T @ (rsq[:, None] * w0)
 
-    s00, s01, s02 = block(0, 0), block(1, 0), block(0, 1)
-    s11, s22, s12 = block(2, 0), block(0, 2), block(1, 1)
-    r0, r1, r2 = block(3, 0), block(4, 0), block(3, 1)
+    # moments of the plane on [1, t - g_a, t' - g_b]; the pair set is
+    # symmetric, so the t' moments are transposes of the t moments
+    s00, s01, s11, s12 = S[:G, :G], S[G:2 * G, :G], S[2 * G:, :G], S[G:2 * G, G:]
+    r0, r1 = U[:G], U[G:]
 
     mass_floor = MASS_FLOOR * total
     if not np.all(s00 > mass_floor):
@@ -261,11 +264,11 @@ def smooth_covariance(series_set, mean: MeanFunction, kernel: KernelSpec,
     lhs = np.empty((G, G, 3, 3))
     lhs[..., 0, 0] = s00
     lhs[..., 0, 1] = lhs[..., 1, 0] = s01
-    lhs[..., 0, 2] = lhs[..., 2, 0] = s02
+    lhs[..., 0, 2] = lhs[..., 2, 0] = s01.T
     lhs[..., 1, 1] = s11
     lhs[..., 1, 2] = lhs[..., 2, 1] = s12
-    lhs[..., 2, 2] = s22
-    rhs = np.stack([r0, r1, r2], axis=-1)[..., None]
+    lhs[..., 2, 2] = s11.T
+    rhs = np.stack([r0, r1, r1.T], axis=-1)[..., None]
     try:
         coef = np.linalg.solve(lhs, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -274,7 +277,8 @@ def smooth_covariance(series_set, mean: MeanFunction, kernel: KernelSpec,
         raise DegenerateWindow(
             f"singular local fit at (t, t') = ({grid.points[a]:.6g}, {grid.points[b]:.6g}) "
             f"(bandwidth {h:.4g} too small)") from exc
-    values = coef[..., 0] + coef[..., 1] * g[:, None] + coef[..., 2] * g[None, :]
+    # the intercept is the estimate at (g_a, g_b)
+    values = coef[..., 0]
     if not np.all(np.isfinite(values)):
         raise NonFiniteFit("covariance smoother produced non-finite values")
     values = 0.5 * (values + values.T)

@@ -13,6 +13,7 @@ from fofr.smoothing import (
     MeanFunction,
     StandardizationParams,
     _raw_pairs,
+    bandwidth_candidates,
     build_standardization,
     destandardize,
     plugin_bandwidth,
@@ -67,6 +68,13 @@ def wls_cov_oracle(series_set, mean, kernel, grid):
     return 0.5 * (out + out.T)
 
 
+def assert_matches_cov_oracle(series_set, kernel, grid, rtol=1e-8, atol=1e-10):
+    mean = smooth_mean(series_set, kernel, grid)
+    fit = smooth_covariance(series_set, mean, kernel, grid)
+    oracle = wls_cov_oracle(series_set, mean, kernel, grid)
+    np.testing.assert_allclose(fit.values, oracle, rtol=rtol, atol=atol)
+
+
 class TestMeanSmoother:
     def test_matches_wls_oracle_with_duplicates(self):
         rng = np.random.default_rng(3)
@@ -102,10 +110,7 @@ class TestCovarianceSmoother:
         series = random_series_set(rng, n_subjects=5, m_lo=4, m_hi=8)
         grid = make_grid(Interval(0, 1), 9)
         kernel = KernelSpec("gaussian", bandwidth_mean=0.2, bandwidth_cov=0.25)
-        mean = smooth_mean(series, kernel, grid)
-        fit = smooth_covariance(series, mean, kernel, grid)
-        oracle = wls_cov_oracle(series, mean, kernel, grid)
-        np.testing.assert_allclose(fit.values, oracle, rtol=1e-8, atol=1e-10)
+        assert_matches_cov_oracle(series, kernel, grid)
 
     def test_site_collapse_is_exact(self):
         # duplicating a subject's design must equal double-counting its pairs,
@@ -116,10 +121,7 @@ class TestCovarianceSmoother:
                                         rng.standard_normal(len(series[1]))))
         grid = make_grid(Interval(0, 1), 7)
         kernel = KernelSpec("gaussian", bandwidth_mean=0.25, bandwidth_cov=0.3)
-        mean = smooth_mean(series, kernel, grid)
-        fit = smooth_covariance(series, mean, kernel, grid)
-        oracle = wls_cov_oracle(series, mean, kernel, grid)
-        np.testing.assert_allclose(fit.values, oracle, rtol=1e-8, atol=1e-10)
+        assert_matches_cov_oracle(series, kernel, grid)
 
     def test_symmetry(self):
         rng = np.random.default_rng(17)
@@ -130,10 +132,55 @@ class TestCovarianceSmoother:
         fit = smooth_covariance(series, mean, kernel, grid)
         np.testing.assert_array_equal(fit.values, fit.values.T)
 
+    def test_shared_grid_at_plugin_bandwidth_matches_wls_oracle(self):
+        # every subject on the same times, smoothed at the plug-in bandwidth
+        # (half the sampling gap): each window sees few sites, so the subject
+        # sums are dominated by their own diagonal terms.  A plane centred at
+        # the interval midpoint instead of the grid pair is about 4e-9 off
+        # here, so this case holds a tighter tolerance than the others.
+        rng = np.random.default_rng(19)
+        times = np.linspace(0.0, 1.0, 41)
+        series = [ObservationSeries(times, rng.standard_normal(41)) for _ in range(10)]
+        grid = make_grid(Interval(0, 1), 21)
+        h = plugin_bandwidth(series, grid)
+        kernel = KernelSpec("gaussian", bandwidth_mean=h, bandwidth_cov=h)
+        assert_matches_cov_oracle(series, kernel, grid, rtol=1e-10, atol=1e-12)
+
+    def test_epanechnikov_matches_wls_oracle(self):
+        rng = np.random.default_rng(43)
+        series = random_series_set(rng, n_subjects=8, m_lo=6, m_hi=10)
+        grid = make_grid(Interval(0, 1), 9)
+        kernel = KernelSpec("epanechnikov", bandwidth_mean=0.3, bandwidth_cov=0.4)
+        assert_matches_cov_oracle(series, kernel, grid)
+
+    def test_single_observation_subjects_are_ignored(self):
+        rng = np.random.default_rng(47)
+        series = random_series_set(rng, n_subjects=5, m_lo=4, m_hi=8)
+        singles = [ObservationSeries([t], [v])
+                   for t, v in zip(rng.uniform(0, 1, 4), 10.0 * rng.standard_normal(4))]
+        mixed = series[:2] + singles[:2] + series[2:] + singles[2:]
+        grid = make_grid(Interval(0, 1), 9)
+        kernel = KernelSpec("gaussian", bandwidth_mean=0.2, bandwidth_cov=0.25)
+        assert_matches_cov_oracle(mixed, kernel, grid)
+
+    def test_epanechnikov_tiny_bandwidth_degenerates(self):
+        # windows holding no pair keep a mass of exactly zero after the
+        # diagonal term is taken off the subject sums
+        rng = np.random.default_rng(53)
+        series = random_series_set(rng)
+        grid = make_grid(Interval(0, 1), 21)
+        kernel = KernelSpec("epanechnikov", bandwidth_mean=0.2, bandwidth_cov=1e-6)
+        mean = smooth_mean(series, kernel, grid)
+        with pytest.raises(DegenerateWindow, match="weight mass vanished"):
+            smooth_covariance(series, mean, kernel, grid)
+
     def test_no_pairs(self):
         grid = make_grid(Interval(0, 1), 5)
         mean = MeanFunction(grid, np.zeros(5))
         singles = [ObservationSeries([0.3], [1.0]), ObservationSeries([0.6], [2.0])]
+        kernel = KernelSpec("gaussian", bandwidth_mean=0.2, bandwidth_cov=0.2)
+        with pytest.raises(NoPairs):
+            smooth_covariance(singles, mean, kernel, grid)
         with pytest.raises(NoPairs):
             _raw_pairs(singles, mean)
 
@@ -190,6 +237,7 @@ class TestBandwidths:
         grid = make_grid(Interval(0, 1), 21)
         out = resolve_bandwidths(series, KernelSpec(), grid)
         assert isinstance(out.bandwidth_mean, float) and out.bandwidth_mean > 0
+        assert out.bandwidth_mean == out.bandwidth_cov == plugin_bandwidth(series, grid)
 
     def test_cv_selection_returns_candidate(self):
         rng = np.random.default_rng(37)
@@ -205,6 +253,15 @@ class TestBandwidths:
         grid = make_grid(Interval(0, 1), 15)
         a = select_bandwidth(series, "gaussian", grid, "mean")
         b = select_bandwidth(series, "gaussian", grid, "mean")
+        assert a == b
+
+    def test_cv_selection_covariance_target(self):
+        rng = np.random.default_rng(59)
+        series = random_series_set(rng, n_subjects=10, m_lo=6, m_hi=10)
+        grid = make_grid(Interval(0, 1), 15)
+        a = select_bandwidth(series, "gaussian", grid, "covariance")
+        b = select_bandwidth(series, "gaussian", grid, "covariance")
+        assert a in bandwidth_candidates(series, grid)
         assert a == b
 
     def test_kernel_spec_validation(self):
