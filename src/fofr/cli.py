@@ -1,6 +1,8 @@
 """Command-line interface: synthesize, train, predict, evaluate, inspect.
 
-Exit codes: 0 success, 2 input/config error, 3 pipeline/runtime error.
+Exit codes: 0 success; on failure the class of the error decides the code
+(see ``fofr.errors``): 2 for input errors and unreadable or unwritable paths,
+3 for runtime failures.  ``main`` is the only place that maps an error to it.
 Every command is deterministic and idempotent on identical inputs.
 """
 
@@ -15,34 +17,19 @@ import sys
 
 from fofr.core import (
     PREDICTIONS_HEADER,
+    _read_json,
     _read_series,
     load_dataset,
     load_schema,
     write_dataset,
     write_schema,
 )
-from fofr.errors import (
-    AllCandidatesDegenerate,
-    BadGridSize,
-    BadScenario,
-    ChannelCountMismatch,
-    ChannelMismatch,
-    CorruptArtifact,
-    DivergenceDetected,
-    DomainViolation,
-    DuplicateTimestamp,
-    FofrError,
-    InsufficientCoverage,
-    MalformedRow,
-    MissingChannel,
-    NoOverlap,
-    PipelineError,
-    VersionMismatch,
-)
+from fofr.errors import BadConfig, FofrError, InputError
 from fofr.fpca import fve_table
 from fofr.pipeline import (
     MetricsReport,
     PipelineConfig,
+    _json_object,
     _score_series,
     load_model,
     predict_pipeline,
@@ -53,43 +40,25 @@ from fofr.pipeline import (
 from fofr.synthgen import dataset_schema, generate, load_scenario, save_ground_truth
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_RUNTIME = 3
 
-#: errors attributable to user input or configuration
-_INPUT_ERRORS = (MalformedRow, DuplicateTimestamp, DomainViolation, MissingChannel,
-                 InsufficientCoverage, BadGridSize, BadScenario)
-
-
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _classify(exc: Exception) -> int:
-    if isinstance(exc, _INPUT_ERRORS):
-        return EXIT_INPUT
-    if isinstance(exc, (FofrError, ValueError, KeyError)):
-        return EXIT_RUNTIME
-    raise exc
+#: JSON types of the top-level keys of a run configuration and of its split
+_RUN_CONFIG_KEYS = {"data": str, "schema": str, "model_out": str, "diagnostics_out": str,
+                    "split": dict, "pipeline": dict}
+_SPLIT_KEYS = {"test_fraction": (int, float), "seed": int, "test_ids_out": str,
+               "test_data_out": str}
 
 
 def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """A run configuration: a JSON object with the keys of ``_RUN_CONFIG_KEYS``."""
+    return _json_object(_read_json(path, BadConfig), "config", _RUN_CONFIG_KEYS)
 
 
 def cmd_synth(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        if args.seed is not None:
-            from dataclasses import replace
-            scenario = replace(scenario, seed=args.seed)
-        dataset, truth = generate(scenario)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_INPUT, f"cannot read scenario: {exc}")
-    except FofrError as exc:
-        return _fail(_classify(exc), str(exc))
+    scenario = load_scenario(args.scenario)
+    if args.seed is not None:
+        from dataclasses import replace
+        scenario = replace(scenario, seed=args.seed)
+    dataset, truth = generate(scenario)
 
     os.makedirs(args.out_dir, exist_ok=True)
     data_path = os.path.join(args.out_dir, "data.csv")
@@ -126,40 +95,29 @@ def _build_pipeline_config(cfg: dict, args, grid_size: int) -> PipelineConfig:
 
 
 def cmd_train(args) -> int:
-    try:
-        cfg = _load_json(args.config) if args.config else {}
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_INPUT, f"cannot read config: {exc}")
-
+    cfg = _load_json(args.config) if args.config else {}
     data_path = args.data or cfg.get("data")
     schema_path = args.schema or cfg.get("schema")
     model_out = args.model_out or cfg.get("model_out")
     diagnostics_out = args.diagnostics_out or cfg.get("diagnostics_out")
     if not data_path or not schema_path or not model_out:
-        return _fail(EXIT_INPUT, "train needs data, schema and model_out "
-                                 "(via --config or flags)")
+        raise BadConfig("train needs data, schema and model_out (via --config or flags)")
     paths = [p for p in (data_path, schema_path, model_out, diagnostics_out) if p]
     if len(set(paths)) != len(paths):
-        return _fail(EXIT_INPUT, "data, schema and output paths must be distinct")
+        raise BadConfig("data, schema and output paths must be distinct")
 
-    try:
-        schema = load_schema(schema_path)
-        dataset = load_dataset(data_path, schema)
-    except OSError as exc:
-        return _fail(EXIT_INPUT, f"cannot read input: {exc}")
-    except FofrError as exc:
-        return _fail(_classify(exc), str(exc))
+    schema = load_schema(schema_path)
+    dataset = load_dataset(data_path, schema)
 
     split = cfg.get("split")
     if split is not None:
-        frac = float(split.get("test_fraction", 0.0))
-        if not 0.0 <= frac <= 0.5:
-            return _fail(EXIT_INPUT, f"split test_fraction must lie in [0, 0.5], got {frac}")
+        _json_object(split, "config.split", _SPLIT_KEYS)
+        frac, seed = split.get("test_fraction", 0.0), split.get("seed", 0)
+        if not 0.0 <= frac <= 0.5 or seed < 0:
+            raise BadConfig(f"split needs test_fraction in [0, 0.5] and seed >= 0, "
+                            f"got {frac} and {seed}")
         if frac > 0:
-            try:
-                dataset, test_set = split_subjects(dataset, frac, int(split.get("seed", 0)))
-            except ValueError as exc:
-                return _fail(EXIT_INPUT, str(exc))
+            dataset, test_set = split_subjects(dataset, frac, seed)
             ids_out = split.get("test_ids_out")
             if ids_out:
                 with open(ids_out, "w", encoding="utf-8") as fh:
@@ -168,14 +126,8 @@ def cmd_train(args) -> int:
             if data_out:
                 write_dataset(test_set, data_out)
 
-    try:
-        config = _build_pipeline_config(cfg, args, schema.grid_size)
-        model, diagnostics = train_pipeline(dataset, config)
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, f"bad configuration: {exc}")
-    except FofrError as exc:
-        return _fail(_classify(exc), str(exc))
-
+    config = _build_pipeline_config(cfg, args, schema.grid_size)
+    model, diagnostics = train_pipeline(dataset, config)
     save_model(model, model_out)
     if diagnostics_out:
         with open(diagnostics_out, "w", encoding="utf-8") as fh:
@@ -206,21 +158,9 @@ def write_predictions_csv(predictions, path):
 
 
 def cmd_predict(args) -> int:
-    try:
-        model = load_model(args.model)
-    except FofrError as exc:
-        return _fail(EXIT_RUNTIME, str(exc))
-    try:
-        schema = load_schema(args.schema)
-        dataset = load_dataset(args.data, schema)
-    except OSError as exc:
-        return _fail(EXIT_INPUT, f"cannot read input: {exc}")
-    except FofrError as exc:
-        return _fail(_classify(exc), str(exc))
-    try:
-        predictions = predict_pipeline(model, dataset)
-    except FofrError as exc:
-        return _fail(EXIT_RUNTIME, str(exc))
+    model = load_model(args.model)
+    dataset = load_dataset(args.data, load_schema(args.schema))
+    predictions = predict_pipeline(model, dataset)
     write_predictions_csv(predictions, args.out)
     n_rows = len(predictions.subject_ids) * len(predictions.channel_names) * predictions.grid.size
     if args.json:
@@ -239,12 +179,7 @@ def evaluate_csv(pred_path, truth_path) -> MetricsReport:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        report = evaluate_csv(args.predictions, args.truth)
-    except OSError as exc:
-        return _fail(EXIT_INPUT, f"cannot read input: {exc}")
-    except FofrError as exc:
-        return _fail(_classify(exc), str(exc))
+    report = evaluate_csv(args.predictions, args.truth)
     doc = report.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -298,11 +233,7 @@ def _print_fpca_tables(doc: dict):
 
 
 def cmd_fpca_report(args) -> int:
-    try:
-        model = load_model(args.model)
-    except FofrError as exc:
-        return _fail(EXIT_RUNTIME, str(exc))
-    doc = fpca_report(model)
+    doc = fpca_report(load_model(args.model))
     if args.json:
         print(json.dumps(doc, sort_keys=True))
     else:
@@ -364,12 +295,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, ChannelMismatch, ChannelCountMismatch, NoOverlap,
-            VersionMismatch, CorruptArtifact, DivergenceDetected,
-            AllCandidatesDegenerate) as exc:
-        return _fail(EXIT_RUNTIME, str(exc))
-    except FofrError as exc:
-        return _fail(_classify(exc), str(exc))
+    except (FofrError, OSError) as exc:  # an OSError is an unreadable or unwritable path
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code if isinstance(exc, FofrError) else InputError.exit_code
 
 
 if __name__ == "__main__":

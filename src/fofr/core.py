@@ -235,17 +235,21 @@ class DatasetSchema:
                 response_domain=Interval(*map(float, d["response_domain"])),
                 grid_size=int(d.get("grid_size", 101)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedRow(f"bad schema: {exc}") from exc
 
 
-def load_schema(path) -> DatasetSchema:
+def _read_json(path, error: type):
+    """The JSON document at ``path``; text that is not JSON raises ``error``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedRow(f"schema {path}: invalid JSON ({exc})") from exc
-    return DatasetSchema.from_dict(payload)
+            return json.load(fh)
+        except ValueError as exc:
+            raise error(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_schema(path) -> DatasetSchema:
+    return DatasetSchema.from_dict(_read_json(path, MalformedRow))
 
 
 def _read_columns(path, headers=(CSV_HEADER,)):
@@ -256,26 +260,29 @@ def _read_columns(path, headers=(CSV_HEADER,)):
     per id column (subject, variable, then role if the file has one); names
     are in order of first appearance.  Row i of the columns is line i + 2.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in headers:
-            expected = " or ".join(repr(",".join(h)) for h in headers)
-            raise MalformedRow(f"{path}: expected header {expected}, got {header!r}")
-        seen = [{} for _ in header[:-2]]  # id -> code in order of appearance
-        codes = [array("i") for _ in header[:-2]]
-        times, values = array("d"), array("d")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRow(f"{path}:{lineno}: expected {len(header)} fields, "
-                                   f"got {len(row)}")
-            try:
-                times.append(float(row[-2]))
-                values.append(float(row[-1]))
-            except ValueError as exc:
-                raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
-            for first, column, name in zip(seen, codes, row):
-                column.append(first.setdefault(name, len(first)))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header not in headers:
+                expected = " or ".join(repr(",".join(h)) for h in headers)
+                raise MalformedRow(f"{path}: expected header {expected}, got {header!r}")
+            seen = [{} for _ in header[:-2]]  # id -> code in order of appearance
+            codes = [array("i") for _ in header[:-2]]
+            times, values = array("d"), array("d")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise MalformedRow(f"{path}:{lineno}: expected {len(header)} fields, "
+                                       f"got {len(row)}")
+                try:
+                    times.append(float(row[-2]))
+                    values.append(float(row[-1]))
+                except ValueError as exc:
+                    raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
+                for first, column, name in zip(seen, codes, row):
+                    column.append(first.setdefault(name, len(first)))
+    except (csv.Error, UnicodeDecodeError) as exc:  # bad quoting or encoding
+        raise MalformedRow(f"{path}: unreadable CSV ({exc})") from exc
 
     if not times:
         raise MalformedRow(f"{path}: no data rows")

@@ -1,113 +1,144 @@
-"""Exception hierarchy for the fofr package."""
+"""Exception hierarchy for the fofr package.
+
+Every error is a ``FofrError`` under exactly one of two bases, and the base
+carries the command-line exit code, so the class of an error decides it:
+
+- ``InputError`` (exit 2): the input is at fault.  Data-model and ingestion
+  errors (malformed rows or schemas, duplicate timestamps, times outside the
+  domain, missing channels, too few subjects, bad grid sizes), bad synthetic
+  scenarios and bad run configurations.
+- ``RuntimeFailure`` (exit 3): well-formed input on which a stage failed.
+  Smoothing, FPCA and regression errors, persistence errors (channel
+  mismatches, corrupt or version-mismatched artifacts), ``PipelineError``,
+  which wraps a stage's error, and ``IndexOutOfRange``.
+"""
 
 
 class FofrError(Exception):
     """Base class for all fofr errors."""
 
 
+class InputError(FofrError):
+    """The input or configuration is at fault."""
+
+    exit_code = 2
+
+
+class RuntimeFailure(FofrError):
+    """A stage failed on well-formed input."""
+
+    exit_code = 3
+
+
 # --- data model / ingestion ---
 
-class MalformedRow(FofrError):
+class MalformedRow(InputError):
     pass
 
 
-class DuplicateTimestamp(FofrError):
+class DuplicateTimestamp(InputError):
     pass
 
 
-class DomainViolation(FofrError):
+class DomainViolation(InputError):
     pass
 
 
-class MissingChannel(FofrError):
+class MissingChannel(InputError):
     pass
 
 
-class InsufficientCoverage(FofrError):
+class InsufficientCoverage(InputError):
     pass
 
 
-class BadGridSize(FofrError):
+class BadGridSize(InputError):
     pass
+
+
+class BadConfig(InputError, ValueError):
+    """A run configuration that is not valid JSON, has a section that is not
+    an object, an unknown key, or a value of the wrong type or range.  Also a
+    ValueError, like the bad arguments it reports."""
 
 
 # --- smoothing ---
 
-class DegenerateWindow(FofrError):
+class DegenerateWindow(RuntimeFailure):
     pass
 
 
-class NonFiniteFit(FofrError):
+class NonFiniteFit(RuntimeFailure):
     pass
 
 
-class NoPairs(FofrError):
+class NoPairs(RuntimeFailure):
     pass
 
 
-class AllCandidatesDegenerate(FofrError):
+class AllCandidatesDegenerate(RuntimeFailure):
     pass
 
 
 # --- fpca ---
 
-class EigenFailure(FofrError):
+class EigenFailure(RuntimeFailure):
     pass
 
 
-class EmptySpectrum(FofrError):
+class EmptySpectrum(RuntimeFailure):
     pass
 
 
-class TooSparse(FofrError):
+class TooSparse(RuntimeFailure):
     pass
 
 
-class TooFewSubjects(FofrError):
+class TooFewSubjects(RuntimeFailure):
     pass
 
 
-class BlockMismatch(FofrError):
+class BlockMismatch(RuntimeFailure):
     pass
 
 
-class ChannelCountMismatch(FofrError):
+class ChannelCountMismatch(RuntimeFailure):
     pass
 
 
-class LengthMismatch(FofrError):
+class LengthMismatch(RuntimeFailure):
     pass
 
 
 # --- regression ---
 
-class ShapeMismatch(FofrError):
+class ShapeMismatch(RuntimeFailure):
     pass
 
 
-class DivergenceDetected(FofrError):
+class DivergenceDetected(RuntimeFailure):
     pass
 
 
 # --- pipeline / persistence ---
 
-class ChannelMismatch(FofrError):
+class ChannelMismatch(RuntimeFailure):
     pass
 
 
-class NoOverlap(FofrError):
+class NoOverlap(RuntimeFailure):
     pass
 
 
-class VersionMismatch(FofrError):
+class VersionMismatch(RuntimeFailure):
     pass
 
 
-class CorruptArtifact(FofrError):
+class CorruptArtifact(RuntimeFailure):
     pass
 
 
-class PipelineError(FofrError):
+class PipelineError(RuntimeFailure):
     """Wraps a module-level error with the pipeline stage where it occurred."""
 
     def __init__(self, stage, cause):
@@ -118,9 +149,9 @@ class PipelineError(FofrError):
 
 # --- synthetic generator ---
 
-class BadScenario(FofrError):
+class BadScenario(InputError):
     pass
 
 
-class IndexOutOfRange(FofrError):
+class IndexOutOfRange(RuntimeFailure):
     pass

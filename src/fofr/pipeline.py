@@ -13,12 +13,14 @@ import contextlib
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
 from fofr.core import EvalGrid, FunctionalDataset, Interval, ObservationSeries, make_grid
 from fofr.errors import (
+    BadConfig,
     ChannelMismatch,
     CorruptArtifact,
     DomainViolation,
@@ -42,6 +44,7 @@ from fofr.fpca import (
     univariate_fpca,
 )
 from fofr.regression import (
+    ACTIVATIONS,
     FflmParams,
     NetworkParams,
     NetworkSpec,
@@ -86,63 +89,54 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
+        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         if self.regressor not in ("nn", "fflm"):
             raise ValueError(f"regressor must be 'nn' or 'fflm', got {self.regressor!r}")
+        if self.hidden_activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.hidden_activation!r}")
+        if not (0 <= self.ridge < np.inf and self.seed >= 0):
+            raise ValueError("ridge must be finite and non-negative, seed non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "grid_size_s": self.grid_size_s,
-            "grid_size_t": self.grid_size_t,
-            "kernel_x": _kernel_to_dict(self.kernel_x),
-            "kernel_y": _kernel_to_dict(self.kernel_y),
-            "truncation_x": {"fve_cutoff": self.truncation_x.fve_cutoff,
-                             "max_components": self.truncation_x.max_components},
-            "truncation_y": {"fve_cutoff": self.truncation_y.fve_cutoff,
-                             "max_components": self.truncation_y.max_components},
-            "regressor": self.regressor,
-            "hidden_widths": list(self.hidden_widths),
-            "hidden_activation": self.hidden_activation,
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "optimizer": self.train.optimizer,
-                "momentum": self.train.momentum,
-                "adam_beta1": self.train.adam_beta1,
-                "adam_beta2": self.train.adam_beta2,
-                "adam_eps": self.train.adam_eps,
-                "early_stop_patience": self.train.early_stop_patience,
-                "val_fraction": self.train.val_fraction,
-                "seed": self.train.seed,
-            },
-            "ridge": self.ridge,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "hidden_widths": list(self.hidden_widths)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        kw = dict(d)
-        if "kernel_x" in kw:
-            kw["kernel_x"] = _kernel_from_dict(kw["kernel_x"])
-        if "kernel_y" in kw:
-            kw["kernel_y"] = _kernel_from_dict(kw["kernel_y"])
-        if "truncation_x" in kw:
-            kw["truncation_x"] = TruncationRule(**kw["truncation_x"])
-        if "truncation_y" in kw:
-            kw["truncation_y"] = TruncationRule(**kw["truncation_y"])
-        if "train" in kw:
-            kw["train"] = TrainConfig(**kw["train"])
+        """The ``pipeline`` section of a run configuration; raises BadConfig."""
+        return _config_from_json(cls, d, "pipeline")
+
+
+#: JSON types that a config field of each annotated type accepts
+_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: list, type(None): type(None)}
+
+
+def _json_object(value, name: str, types: dict) -> dict:
+    """``value``, checked to be a JSON object whose keys ``types`` maps to the
+    JSON types of their values; raises BadConfig."""
+    if not isinstance(value, dict):
+        raise BadConfig(f"{name} must be a JSON object, got {type(value).__name__}")
+    for key, v in value.items():
+        if key not in types:
+            raise BadConfig(f"{name}: unknown key {key!r}")
+        if isinstance(v, bool) or not isinstance(v, types[key]):
+            raise BadConfig(f"{name}.{key}: wrong type {type(v).__name__}")
+    return value
+
+
+def _config_from_json(cls, value, name: str):
+    """The config dataclass ``cls`` built from a JSON object, with its nested
+    config sections; the JSON types allowed come from the field annotations."""
+    hints = typing.get_type_hints(cls)
+    types = {key: dict if is_dataclass(hint)
+             else tuple(_JSON_TYPES[t] for t in typing.get_args(hint) or (hint,))
+             for key, hint in hints.items()}
+    kw = {key: _config_from_json(hints[key], v, f"{name}.{key}")
+          if is_dataclass(hints[key]) else v
+          for key, v in _json_object(value, name, types).items()}
+    try:
         return cls(**kw)
-
-
-def _kernel_to_dict(k: KernelSpec) -> dict:
-    return {"family": k.family, "bandwidth_mean": k.bandwidth_mean,
-            "bandwidth_cov": k.bandwidth_cov}
-
-
-def _kernel_from_dict(d: dict) -> KernelSpec:
-    return KernelSpec(**d)
+    except (TypeError, ValueError) as exc:
+        raise BadConfig(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -223,8 +217,6 @@ class MetricsReport:
 def _stage(label: str):
     try:
         yield
-    except PipelineError:
-        raise
     except FofrError as exc:
         raise PipelineError(label, exc) from exc
 
@@ -264,16 +256,13 @@ def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label,
         uni_rule = TruncationRule(rule.fve_cutoff,
                                   cap if rule.max_components is None
                                   else min(cap, rule.max_components))
-        try:
-            with _stage(f"fpca/{label}"):
+        with _stage(f"fpca/{label}"):
+            try:
                 system = univariate_fpca(z_surface, uni_rule, channel=name)
-        except PipelineError as exc:
-            if isinstance(exc.cause, EmptySpectrum):
+            except EmptySpectrum:
                 logger.warning("%s: empty spectrum; channel contributes no components", label)
                 ch_diag["warning"] = "empty spectrum"
                 system = UnivariateEigenSystem(grid, np.zeros(0), np.zeros((0, grid.size)), name)
-            else:
-                raise
         univariate_systems.append(system)
         ch_diag["eigenvalues"] = system.eigenvalues.tolist()
         ch_diag["fve"] = fve_table(system.eigenvalues) if system.n_components else []
@@ -461,11 +450,11 @@ def _score_series(predicted: dict, observed: dict, channels, truth_subjects) -> 
 def split_subjects(dataset: FunctionalDataset, test_fraction: float, seed: int):
     """Seeded subject-level train/test split; returns (train, test) datasets."""
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
+        raise BadConfig("test_fraction must lie in (0, 1)")
     n = dataset.n_subjects
     n_test = max(1, int(round(test_fraction * n)))
     if n_test >= n - 1:
-        raise ValueError("split leaves fewer than 2 training subjects")
+        raise BadConfig("split leaves fewer than 2 training subjects")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     test_idx = np.sort(perm[:n_test])
@@ -517,26 +506,45 @@ def _side_to_dict(side: SideModel) -> dict:
     }
 
 
-def _side_from_dict(d: dict) -> SideModel:
+def _array(values, shape: tuple, name: str) -> np.ndarray:
+    """A float array of ``shape`` read from an artifact, where ``[]`` stands
+    for any empty shape; raises ValueError naming ``name`` on a mismatch."""
+    a = np.array(values, dtype=float)
+    if a.size == 0 == np.prod(shape):
+        a = a.reshape(shape)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def _eigen_arrays(d: dict, shape: tuple, name: str):
+    """Eigenvalues and eigenfunctions, each of ``shape``, of an artifact's eigen system."""
+    n = len(d["eigenvalues"])
+    return (_array(d["eigenvalues"], (n,), f"{name}.eigenvalues"),
+            _array(d["eigenfunctions"], (n, *shape), f"{name}.eigenfunctions"))
+
+
+def _side_from_dict(d: dict, label: str) -> SideModel:
     grid = _grid_from_dict(d["grid"])
     names = tuple(d["channel_names"])
+    g = grid.size
+    if not len(names) == len(d["mean"]) == len(d["variance"]) == len(d["univariate"]):
+        raise ValueError(f"{label}: mean, variance and univariate systems do not match "
+                         f"the {len(names)} channels")
     standardization = tuple(
-        StandardizationParams(grid, np.array(m, dtype=float), np.array(v, dtype=float))
-        for m, v in zip(d["mean"], d["variance"]))
+        StandardizationParams(grid, _array(m, (g,), f"{label}.mean[{c}]"),
+                              _array(v, (g,), f"{label}.variance[{c}]"))
+        for c, (m, v) in enumerate(zip(d["mean"], d["variance"])))
     univariate = tuple(
-        UnivariateEigenSystem(grid, np.array(u["eigenvalues"], dtype=float),
-                              np.array(u["eigenfunctions"], dtype=float).reshape(
-                                  len(u["eigenvalues"]), grid.size),
+        UnivariateEigenSystem(grid, *_eigen_arrays(u, (g,), f"{label}.univariate[{c}]"),
                               u["channel"])
-        for u in d["univariate"])
+        for c, u in enumerate(d["univariate"]))
     m = d["multivariate"]
-    n_comp = len(m["eigenvalues"])
+    widths = tuple(m["block_widths"])
+    lam, funcs = _eigen_arrays(m, (len(names), g), f"{label}.multivariate")
     multivariate = MultivariateEigenSystem(
-        grid,
-        np.array(m["eigenvalues"], dtype=float),
-        np.array(m["eigenfunctions"], dtype=float).reshape(n_comp, len(names), grid.size),
-        np.array(m["block_vectors"], dtype=float).reshape(n_comp, -1),
-        tuple(m["block_widths"]))
+        grid, lam, funcs, _array(m["block_vectors"], (len(lam), sum(widths)),
+                                 f"{label}.multivariate.block_vectors"), widths)
     return SideModel(grid, names, standardization, univariate, multivariate)
 
 
@@ -551,12 +559,18 @@ def _regressor_to_dict(kind: str, regressor) -> dict:
     }
 
 
-def _regressor_from_dict(d: dict):
+def _regressor_from_dict(d: dict, l: int, p: int):
+    """The regressor of an artifact, checked to map L input scores to P outputs."""
     if d["kind"] == "fflm":
-        return "fflm", FflmParams(np.array(d["B"], dtype=float))
+        return "fflm", FflmParams(_array(d["B"], (p, l), "regressor.B"))
+    dims = [l, *(len(w) for w in d["weights"][:-1]), p]
+    if not len(d["weights"]) == len(d["biases"]) == len(dims) - 1:
+        raise ValueError("regressor weights and biases differ in layer count")
     params = NetworkParams(
-        [np.array(w, dtype=float) for w in d["weights"]],
-        [np.array(b, dtype=float) for b in d["biases"]],
+        [_array(w, (o, i), f"regressor.weights[{k}]")
+         for k, (w, i, o) in enumerate(zip(d["weights"], dims, dims[1:]))],
+        [_array(b, (o,), f"regressor.biases[{k}]")
+         for k, (b, o) in enumerate(zip(d["biases"], dims[1:]))],
         d["hidden_activation"])
     return "nn", params
 
@@ -584,7 +598,7 @@ def load_model(path) -> TrainedModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CorruptArtifact(f"{path}: cannot read model artifact ({exc})") from exc
     if not isinstance(doc, dict) or "payload" not in doc:
         raise CorruptArtifact(f"{path}: not a model artifact")
@@ -597,11 +611,13 @@ def load_model(path) -> TrainedModel:
     if checksum != doc.get("checksum"):
         raise CorruptArtifact(f"{path}: checksum mismatch")
     payload = doc["payload"]
-    kind, regressor = _regressor_from_dict(payload["regressor"])
-    return TrainedModel(
-        covariate_side=_side_from_dict(payload["covariate_side"]),
-        response_side=_side_from_dict(payload["response_side"]),
-        regressor_kind=kind,
-        regressor=regressor,
-        config=payload["config"],
-    )
+    try:
+        covariate_side = _side_from_dict(payload["covariate_side"], "covariate_side")
+        response_side = _side_from_dict(payload["response_side"], "response_side")
+        kind, regressor = _regressor_from_dict(
+            payload["regressor"], covariate_side.multivariate.n_components,
+            response_side.multivariate.n_components)
+        config = payload["config"]
+    except (FofrError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptArtifact(f"{path}: bad model payload ({type(exc).__name__}: {exc})") from exc
+    return TrainedModel(covariate_side, response_side, kind, regressor, config)

@@ -12,6 +12,9 @@ from fofr.errors import DivergenceDetected, ShapeMismatch
 
 ACTIVATIONS = ("elu", "relu", "tanh")
 OPTIMIZERS = ("sgd", "sgd_momentum", "adam")
+#: an epoch whose training loss is not finite, or exceeds this multiple of
+#: the initial network's loss, has diverged
+DIVERGENCE_RATIO = 1e3
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.epochs, int) or self.epochs < 0:
+            raise ValueError(f"epochs must be a non-negative integer, got {self.epochs!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
@@ -110,7 +115,7 @@ def init_network(spec: NetworkSpec) -> NetworkParams:
 
 def _act(name: str, x: np.ndarray) -> np.ndarray:
     if name == "elu":
-        return np.where(x >= 0, x, np.expm1(x))
+        return np.where(x >= 0, x, np.expm1(np.minimum(x, 0.0)))
     if name == "relu":
         return np.maximum(0.0, x)
     return np.tanh(x)
@@ -212,6 +217,7 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
         X_val = T_val = None
 
     params = init_network(spec)
+    initial_loss = mse_loss(params, X_tr, T_tr)
     state_m = [np.zeros_like(w) for w in params.weights] + [np.zeros_like(b) for b in params.biases]
     state_v = [np.zeros_like(w) for w in params.weights] + [np.zeros_like(b) for b in params.biases]
     step = 0
@@ -241,8 +247,9 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
                     v_hat = state_v[k] / (1 - config.adam_beta2 ** step)
                     theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
         train_loss = mse_loss(params, X_tr, T_tr)
-        if not np.isfinite(train_loss):
-            raise DivergenceDetected(f"training loss became non-finite at epoch {epoch}")
+        if not train_loss <= DIVERGENCE_RATIO * initial_loss:  # also when NaN
+            raise DivergenceDetected(f"training diverged at epoch {epoch}: loss "
+                                     f"{train_loss:.3g}, initial loss {initial_loss:.3g}")
         log.train_loss.append(train_loss)
         if use_val:
             val_loss = mse_loss(params, X_val, T_val)

@@ -20,6 +20,7 @@ from fofr.core import (
     FunctionalDataset,
     Interval,
     ObservationSeries,
+    _read_json,
     make_grid,
 )
 from fofr.errors import BadScenario, IndexOutOfRange
@@ -52,6 +53,11 @@ class SynthScenario:
         self._validate()
 
     def _validate(self):
+        for name in ("n_subjects", "covariate_channels", "response_channels",
+                     "fourier_order_x", "fourier_order_y", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise BadScenario(f"{name} must be a non-negative integer, got {value!r}")
         if self.n_subjects < 2:
             raise BadScenario("need at least 2 subjects")
         if self.covariate_channels < 1 or self.response_channels < 1:
@@ -84,7 +90,8 @@ class SynthScenario:
             if len(self.sampling) != 2 or int(self.sampling[1]) < 2:
                 raise BadScenario("dense sampling needs ('dense', points>=2)")
         elif kind == "irregular":
-            if len(self.sampling) != 3 or float(self.sampling[1]) <= 0 or int(self.sampling[2]) < 2:
+            if (len(self.sampling) != 3 or not 0 < float(self.sampling[1]) < np.inf
+                    or int(self.sampling[2]) < 2):
                 raise BadScenario("irregular sampling needs ('irregular', rate>0, min_points>=2)")
         else:
             raise BadScenario(f"unknown sampling kind {kind!r}")
@@ -344,16 +351,12 @@ def scenario_from_dict(d: dict) -> SynthScenario:
             else:
                 raise BadScenario(f"unknown sampling kind {sampling.get('kind')!r}")
         return SynthScenario(**kwargs)
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, LookupError, ValueError, OverflowError) as exc:
         raise BadScenario(f"bad scenario: {exc}") from exc
 
 
 def load_scenario(path) -> SynthScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BadScenario(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    payload = _read_json(path, BadScenario)
     if not isinstance(payload, dict):
         raise BadScenario(f"{path}: scenario must be a JSON object")
     return scenario_from_dict(payload)

@@ -1,6 +1,7 @@
 """CLI contract tests: commands, formats and exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -14,6 +15,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.fixture
@@ -115,6 +120,45 @@ class TestTrain:
         assert len(ids) == 10
         assert (tmp / "test.csv").exists()
 
+    @pytest.mark.parametrize("config", [
+        '{"pipeline": {"bogus": 1}}',
+        '[1, 2]',
+        '{"split": {"test_fraction": "abc"}}',
+        '{"pipeline": {"train": {"epochs": "many"}}}',
+        '{"pipeline": {"train": {"bogus": 1}}}',
+        '5',
+        '{broken',
+    ])
+    def test_bad_config_exit_2(self, synthesized, config, capsys):
+        tmp, out_dir = synthesized
+        (tmp / "config.json").write_text(config)
+        code, _, err = run(capsys, "train", "--config", str(tmp / "config.json"),
+                           "--data", str(out_dir / "data.csv"),
+                           "--schema", str(out_dir / "schema.json"),
+                           "--model-out", str(tmp / "m.json"), "--baseline", "fflm")
+        assert code == 2
+        assert_one_error_line(err)
+        assert not (tmp / "m.json").exists()
+
+    def test_unwritable_model_out_exit_2(self, synthesized, capsys):
+        tmp, out_dir = synthesized
+        code, _, err = run(capsys, "train", "--data", str(out_dir / "data.csv"),
+                           "--schema", str(out_dir / "schema.json"),
+                           "--model-out", str(tmp / "nodir" / "m.json"), "--baseline", "fflm")
+        assert code == 2
+        assert_one_error_line(err)
+
+    def test_divergence_exit_3(self, synthesized, capsys):
+        tmp, out_dir = synthesized
+        (tmp / "config.json").write_text('{"pipeline": {"train": {"learning_rate": 1e6}}}')
+        code, _, err = run(capsys, "train", "--config", str(tmp / "config.json"),
+                           "--data", str(out_dir / "data.csv"),
+                           "--schema", str(out_dir / "schema.json"),
+                           "--model-out", str(tmp / "m.json"))
+        assert code == 3 and "DivergenceDetected" in err
+        assert_one_error_line(err)
+        assert not (tmp / "m.json").exists()
+
     def test_json_summary(self, synthesized, capsys):
         tmp, out_dir = synthesized
         code, out, _ = run(capsys, "train",
@@ -151,6 +195,30 @@ class TestPredict:
                          "--data", str(renamed), "--schema", str(schema),
                          "--out", str(tmp_path / "pred.csv"))
         assert code == 3
+
+    def test_unwritable_out_exit_2(self, trained, capsys):
+        tmp, out_dir, model, _ = trained
+        code, _, err = run(capsys, "predict", "--model", str(model),
+                           "--data", str(out_dir / "data.csv"),
+                           "--schema", str(out_dir / "schema.json"),
+                           "--out", str(tmp / "nodir" / "p.csv"))
+        assert code == 2
+        assert_one_error_line(err)
+
+    def test_times_outside_training_domain_exit_2(self, trained, tmp_path, capsys):
+        tmp, out_dir, model, _ = trained
+        schema = json.loads((out_dir / "schema.json").read_text())
+        schema["covariate_domain"] = [0.0, 1.05]
+        wide = tmp_path / "schema.json"
+        wide.write_text(json.dumps(schema))
+        data = tmp_path / "data.csv"
+        first = (out_dir / "data.csv").read_text().splitlines()[1].split(",")
+        data.write_text((out_dir / "data.csv").read_text()
+                        + f"{first[0]},x1,covariate,1.02,0.0\n")
+        code, _, err = run(capsys, "predict", "--model", str(model), "--data", str(data),
+                           "--schema", str(wide), "--out", str(tmp_path / "p.csv"))
+        assert code == 2 and "training domain" in err
+        assert_one_error_line(err)
 
     def test_idempotent(self, trained, capsys):
         tmp, out_dir, model, _ = trained
@@ -251,6 +319,22 @@ class TestFpcaReport:
         assert doc["L"] == 4 and doc["P"] == 3
         fve = doc["covariate_side"]["multivariate_fve"]
         assert fve[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("command", ["predict", "fpca-report"])
+    def test_payload_without_grid_exit_3(self, trained, command, tmp_path, capsys):
+        _, out_dir, model, _ = trained
+        doc = json.loads(model.read_text())
+        del doc["payload"]["covariate_side"]["grid"]
+        canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        extra = [] if command == "fpca-report" else [
+            "--data", str(out_dir / "data.csv"), "--schema", str(out_dir / "schema.json"),
+            "--out", str(tmp_path / "p.csv")]
+        code, _, err = run(capsys, command, "--model", str(bad), *extra)
+        assert code == 3 and "'grid'" in err
+        assert_one_error_line(err)
 
     def test_corrupt_artifact_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "model.json"

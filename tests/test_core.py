@@ -184,6 +184,18 @@ class TestCsvRejection:
         with pytest.raises(MalformedRow):
             load_dataset(bad, schema)
 
+    def test_unreadable_csv(self, written):
+        path, schema, tmp = written
+        # an opened quote that never closes runs past the csv module's field limit
+        unclosed = self._mutate(path, tmp, lambda ls: ls[:5] + ['s0000,x1,covariate,"0.5,1']
+                                + ls[5:] * (140_000 // sum(map(len, ls)) + 1))
+        with pytest.raises(MalformedRow, match="unreadable CSV"):
+            load_dataset(unclosed, schema)
+        latin1 = tmp / "latin1.csv"
+        latin1.write_bytes(path.read_bytes().replace(b"s0000", b"s\xe9"))
+        with pytest.raises(MalformedRow, match="unreadable CSV"):
+            load_dataset(latin1, schema)
+
     def test_undeclared_variable(self, written):
         path, schema, tmp = written
         bad = self._mutate(path, tmp,

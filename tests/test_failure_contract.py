@@ -1,0 +1,191 @@
+"""Fuzz test of the CLI failure contract.
+
+Each test mutates one kind of input (long CSV, schema, run config, scenario,
+model artifact) and runs the command that reads it through ``cli.main``.
+Whatever the input, the command exits 0, 2 or 3; a failure prints exactly
+one stderr line, starting with ``error:``, and no traceback.
+"""
+
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fofr.cli import main
+
+#: small values only: a mutation must not ask for a huge grid or dataset
+VALUES = [None, True, -1, 0, 1, 3, 0.5, 2.5, float("nan"), float("inf"), "", "x", "plugin",
+          [], [1, 2], {}, {"a": 1}]
+FIELDS = ["", "x", "nan", "inf", "-1e400", "0", "-0.5", "2", "s0001", "x1", "y2",
+          "covariate", "response", "a,b", '"']
+
+
+def fuzz(max_examples):
+    return settings(max_examples=max_examples, derandomize=True, deadline=None)
+
+
+def run(cwd, *argv):
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(cwd)  # a mutated run config may name relative output paths
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+    finally:
+        os.chdir(home)
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """A synthesized 40-subject dataset, an FFLM model trained on it, its
+    predictions and the texts of every input; mutations are written to
+    ``work``, which is also the working directory of each run."""
+    tmp = tmp_path_factory.mktemp("contract")
+    work = tmp / "work"
+    work.mkdir()
+    (tmp / "scenario.json").write_text(json.dumps({"preset": "linear", "n_subjects": 40}))
+    data, schema = tmp / "data" / "data.csv", tmp / "data" / "schema.json"
+    model, pred = tmp / "model.json", tmp / "pred.csv"
+    for argv in (("synth", "--scenario", tmp / "scenario.json", "--out-dir", tmp / "data"),
+                 ("train", "--data", data, "--schema", schema, "--model-out", model,
+                  "--baseline", "fflm"),
+                 ("predict", "--model", model, "--data", data, "--schema", schema,
+                  "--out", pred)):
+        assert main([str(a) for a in argv]) == 0
+    return {"work": work, "data": data, "schema": schema, "model": model, "pred": pred}
+
+
+def mutate_lines(draw, text):
+    """``text`` with one to three rows dropped, repeated, cut off or garbled."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "repeat", "cut", "garble"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "cut":
+            lines = lines[:i]
+        else:
+            fields = lines[i].split(",")
+            j = draw(st.integers(0, len(fields)))  # len(fields) appends a field
+            fields[j:j + 1] = [draw(st.sampled_from(FIELDS) | st.text(max_size=4))]
+            lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def mutate_json(draw, doc):
+    """``doc`` with one or two entries, at most six levels deep, replaced,
+    deleted or added."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        parent, key, node = None, None, doc
+        for _ in range(draw(st.integers(0, 6))):
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            parent, key = node, draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        value = copy.deepcopy(draw(st.sampled_from(VALUES)))
+        if op == "add" and isinstance(node, dict):
+            node["unknown"] = value
+        elif op == "add" and isinstance(node, list):
+            node.append(value)
+        elif op == "delete" and parent is not None:
+            del parent[key]
+        elif parent is None:
+            doc = value
+        else:
+            parent[key] = value
+    return doc
+
+
+@fuzz(12)
+@given(st.data())
+def test_long_csv(base, data):
+    command = data.draw(st.sampled_from(["train", "predict", "evaluate-truth",
+                                         "evaluate-predictions"]))
+    source = base["pred"] if command == "evaluate-predictions" else base["data"]
+    bad = base["work"] / "bad.csv"
+    bad.write_text(mutate_lines(data.draw, source.read_text()))
+    argv = {
+        "train": ("train", "--data", bad, "--schema", base["schema"],
+                  "--model-out", "m.json", "--baseline", "fflm"),
+        "predict": ("predict", "--model", base["model"], "--data", bad,
+                    "--schema", base["schema"], "--out", "p.csv"),
+        "evaluate-truth": ("evaluate", "--predictions", base["pred"], "--truth", bad),
+        "evaluate-predictions": ("evaluate", "--predictions", bad, "--truth", base["data"]),
+    }[command]
+    run(base["work"], *argv)
+
+
+@fuzz(10)
+@given(st.data())
+def test_schema(base, data):
+    bad = base["work"] / "schema.json"
+    bad.write_text(json.dumps(mutate_json(data.draw, json.loads(base["schema"].read_text()))))
+    if data.draw(st.booleans()):
+        run(base["work"], "train", "--data", base["data"], "--schema", bad,
+            "--model-out", "m.json", "--baseline", "fflm")
+    else:
+        run(base["work"], "predict", "--model", base["model"], "--data", base["data"],
+            "--schema", bad, "--out", "p.csv")
+
+
+@fuzz(12)
+@given(st.data())
+def test_run_config(base, data):
+    config = {"data": str(base["data"]), "schema": str(base["schema"]),
+              "model_out": "m.json", "diagnostics_out": "d.json",
+              "split": {"test_fraction": 0.2, "seed": 1, "test_ids_out": "ids.txt"},
+              "pipeline": {"kernel_x": {"family": "gaussian", "bandwidth_cov": 0.1},
+                           "truncation_y": {"fve_cutoff": 0.99, "max_components": 3},
+                           "train": {"epochs": 5, "learning_rate": 0.01},
+                           "ridge": 0.0, "seed": 2}}
+    bad = base["work"] / "config.json"
+    bad.write_text(json.dumps(mutate_json(data.draw, config)))
+    run(base["work"], "train", "--config", bad, "--baseline", "fflm")
+
+
+@fuzz(10)
+@given(st.data())
+def test_scenario(base, data):
+    scenario = {"preset": "linear", "n_subjects": 20, "noise_sd": 0.1, "seed": 3,
+                "sampling": {"kind": "irregular", "rate": 8, "min_points": 3},
+                "covariate_domain": [0, 2]}
+    bad = base["work"] / "scenario.json"
+    bad.write_text(json.dumps(mutate_json(data.draw, scenario)))
+    run(base["work"], "synth", "--scenario", bad, "--out-dir", "synth")
+
+
+@fuzz(16)
+@given(st.data())
+def test_model_artifact(base, data):
+    doc = json.loads(base["model"].read_text())
+    doc["payload"] = mutate_json(data.draw, doc["payload"])
+    if data.draw(st.booleans()):
+        canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    bad = base["work"] / "model.json"
+    bad.write_text(json.dumps(doc))
+    if data.draw(st.booleans()):
+        run(base["work"], "fpca-report", "--model", bad, "--json")
+    else:
+        run(base["work"], "predict", "--model", bad, "--data", base["data"],
+            "--schema", base["schema"], "--out", "p.csv")

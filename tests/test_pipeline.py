@@ -1,5 +1,6 @@
 """End-to-end pipeline, persistence and metric tests."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 
 from fofr.core import FunctionalDataset, Interval, ObservationSeries, make_grid
+from fofr import pipeline
 from fofr.errors import (
+    BadConfig,
     ChannelMismatch,
     CorruptArtifact,
     DomainViolation,
+    EmptySpectrum,
     NoOverlap,
     PipelineError,
     VersionMismatch,
@@ -44,6 +48,12 @@ def fflm_model(small_linear):
     return train_pipeline(data, PipelineConfig(regressor="fflm"))
 
 
+@pytest.fixture(scope="module")
+def nn_model(small_linear):
+    data, _ = small_linear
+    return train_pipeline(data, PipelineConfig(train=TrainConfig(epochs=5)))
+
+
 class TestTrain:
     def test_in_sample_accuracy(self, small_linear, fflm_model):
         data, _ = small_linear
@@ -67,6 +77,31 @@ class TestTrain:
         model, diag = train_pipeline(data, cfg)
         assert diag["regressor"]["kind"] == "nn"
         assert diag["regressor"]["train_loss"][-1] < diag["regressor"]["train_loss"][0]
+
+    def test_empty_spectrum_channel_contributes_nothing(self, small_linear, monkeypatch,
+                                                         caplog):
+        def fpca(surface, rule, channel=""):
+            if channel == "x2":
+                raise EmptySpectrum(f"channel {channel!r}: no positive eigenvalues")
+            return univariate_fpca(surface, rule, channel=channel)
+
+        univariate_fpca = pipeline.univariate_fpca
+        monkeypatch.setattr(pipeline, "univariate_fpca", fpca)
+        data, _ = small_linear
+        model, diag = train_pipeline(data, PipelineConfig(regressor="fflm"))
+        x2 = diag["covariate"]["channels"]["x2"]
+        assert x2["warning"] == "empty spectrum"
+        assert x2["n_components"] == 0 and x2["eigenvalues"] == [] and x2["fve"] == []
+        assert model.covariate_side.univariate[1].eigenfunctions.shape == (0, 101)
+        assert model.covariate_side.multivariate.block_widths[1] == 0
+        assert any("empty spectrum" in r.message for r in caplog.records)
+
+    def test_config_from_dict_rejects(self):
+        for bad in ([1], {"bogus": 1}, {"train": {"epochs": "many"}}, {"train": {"bogus": 1}},
+                    {"kernel_x": [1]}, {"truncation_y": "x"}, {"seed": True},
+                    {"hidden_widths": ["x"]}, {"ridge": -1.0}):
+            with pytest.raises(BadConfig):
+                PipelineConfig.from_dict(bad)
 
     def test_requires_responses(self, small_linear):
         data, _ = small_linear
@@ -266,6 +301,46 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptArtifact):
             load_model(path)
+
+    @staticmethod
+    def _write_resigned(doc, path):
+        """Write ``doc`` with a checksum that matches its edited payload."""
+        canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        path.write_text(json.dumps(doc))
+
+    def test_missing_grid(self, fflm_model, tmp_path):
+        doc = model_to_dict(fflm_model[0])
+        del doc["payload"]["covariate_side"]["grid"]
+        self._write_resigned(doc, tmp_path / "model.json")
+        with pytest.raises(CorruptArtifact, match="'grid'"):
+            load_model(tmp_path / "model.json")
+
+    @pytest.mark.parametrize("model, edit, named", [
+        ("fflm_model", lambda p: p["regressor"].update(B=[[1.0]] * 4), r"regressor\.B"),
+        ("nn_model", lambda p: p["regressor"]["weights"][-1].pop(), r"regressor\.weights\[1\]"),
+        ("nn_model", lambda p: p["regressor"]["biases"][0].pop(), r"regressor\.biases\[0\]"),
+        ("fflm_model", lambda p: p["response_side"]["variance"][1].pop(),
+         r"response_side\.variance\[1\]"),
+        ("fflm_model", lambda p: [f.pop() for f in
+                                  p["covariate_side"]["univariate"][0]["eigenfunctions"]],
+         r"covariate_side\.univariate\[0\]\.eigenfunctions"),
+        ("fflm_model", lambda p: p["covariate_side"]["multivariate"]["block_widths"].append(1),
+         r"covariate_side\.multivariate\.block_vectors"),
+    ])
+    def test_inconsistent_shapes(self, model, edit, named, request, tmp_path):
+        doc = model_to_dict(request.getfixturevalue(model)[0])
+        edit(doc["payload"])
+        self._write_resigned(doc, tmp_path / "model.json")
+        with pytest.raises(CorruptArtifact, match=named):
+            load_model(tmp_path / "model.json")
+
+    def test_nn_round_trip(self, small_linear, nn_model, tmp_path):
+        data, _ = small_linear
+        save_model(nn_model[0], tmp_path / "model.json")
+        np.testing.assert_array_equal(
+            predict_pipeline(load_model(tmp_path / "model.json"), data).values,
+            predict_pipeline(nn_model[0], data).values)
 
     def test_not_a_model(self, tmp_path):
         path = tmp_path / "model.json"

@@ -128,6 +128,29 @@ class TestTraining:
         with np.errstate(all="ignore"), pytest.raises(DivergenceDetected):
             train_network(spec, cfg, X, T)
 
+    @staticmethod
+    def _linear_scores():
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((60, 4))
+        return X, X @ rng.standard_normal((3, 4)).T
+
+    def test_runaway_loss_detected(self):
+        # finite at every epoch, but far above the untrained network's loss
+        X, T = self._linear_scores()
+        cfg = TrainConfig(epochs=100, learning_rate=1e6, seed=21)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceDetected, match="epoch 0"):
+            train_network(NetworkSpec(4, (16,), 3, seed=21), cfg, X, T)
+
+    def test_large_convergent_rate_still_trains(self):
+        # the loss peaks at about 23 times the initial loss, then falls below it
+        X, T = self._linear_scores()
+        spec = NetworkSpec(4, (16,), 3, seed=21)
+        cfg = TrainConfig(epochs=100, learning_rate=1.0, seed=21)
+        params, log = train_network(spec, cfg, X, T)
+        assert len(log.train_loss) == 100
+        assert max(log.train_loss) > 10 * mse_loss(init_network(spec), X, T)
+        assert log.train_loss[-1] < mse_loss(init_network(spec), X, T)
+
     @pytest.mark.parametrize("opt", ["sgd", "sgd_momentum", "adam"])
     def test_all_optimizers_reduce_loss(self, opt):
         rng = np.random.default_rng(7)
@@ -145,6 +168,10 @@ class TestTraining:
             TrainConfig(val_fraction=0.9)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        for epochs in (-1, 2.0, "many"):
+            with pytest.raises(ValueError):
+                TrainConfig(epochs=epochs)
+        assert TrainConfig(epochs=0).epochs == 0
 
 
 class TestFflm:
