@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from itertools import repeat
 
 from fofr.core import (
     PREDICTIONS_HEADER,
@@ -151,10 +152,10 @@ def write_predictions_csv(predictions, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PREDICTIONS_HEADER)
-        for i, sid in enumerate(predictions.subject_ids):
-            for d, name in enumerate(predictions.channel_names):
-                for t, v in zip(predictions.grid.points, predictions.values[i, d]):
-                    writer.writerow([sid, name, repr(float(t)), repr(float(v))])
+        times = [repr(t) for t in predictions.grid.points.tolist()]
+        for sid, curves in zip(predictions.subject_ids, predictions.values):
+            for name, curve in zip(predictions.channel_names, curves.tolist()):
+                writer.writerows(zip(repeat(sid), repeat(name), times, map(repr, curve)))
 
 
 def cmd_predict(args) -> int:

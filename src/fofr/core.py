@@ -209,6 +209,9 @@ class DatasetSchema:
             if not isinstance(names, (list, tuple)):
                 raise MalformedRow(
                     f"schema {side} must be a list of variable ids, got {names!r}")
+            for name in names:
+                if not isinstance(name, str):
+                    raise MalformedRow(f"schema {side}: variable id {name!r} is not a string")
             object.__setattr__(self, side, tuple(names))
         if not self.covariates or not self.responses:
             raise MissingChannel("schema must declare at least one covariate and one response")

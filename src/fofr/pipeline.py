@@ -18,7 +18,14 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
-from fofr.core import EvalGrid, FunctionalDataset, Interval, ObservationSeries, make_grid
+from fofr.core import (
+    EvalGrid,
+    FunctionalDataset,
+    Interval,
+    ObservationSeries,
+    _read_json,
+    make_grid,
+)
 from fofr.errors import (
     BadConfig,
     ChannelMismatch,
@@ -595,11 +602,7 @@ def save_model(model: TrainedModel, path):
 
 
 def load_model(path) -> TrainedModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CorruptArtifact(f"{path}: cannot read model artifact ({exc})") from exc
+    doc = _read_json(path, CorruptArtifact)  # an unreadable path stays an OSError
     if not isinstance(doc, dict) or "payload" not in doc:
         raise CorruptArtifact(f"{path}: not a model artifact")
     version = doc.get("format_version")

@@ -1,5 +1,11 @@
 """Score-space regressors: a small fully connected network trained by
 backpropagation, and the closed-form linear baseline between score spaces.
+
+Training keeps every weight and bias as a view into one flat parameter
+vector, writes the backward pass into one flat gradient buffer, and runs one
+fused SGD, momentum or Adam update on the flat arrays per step.  Each element
+goes through the same operations in the same order as a per-layer update
+would, so the trained parameters and losses are unchanged by the layout.
 """
 
 from __future__ import annotations
@@ -47,11 +53,6 @@ class NetworkParams:
     biases: list
     hidden_activation: str = "elu"
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams([w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases],
-                             self.hidden_activation)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -72,10 +73,18 @@ class TrainConfig:
             raise ValueError(f"epochs must be a non-negative integer, got {self.epochs!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("momentum", "adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not 0 < self.adam_eps < np.inf:
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps!r}")
+        if self.early_stop_patience is not None and self.early_stop_patience < 1:
+            raise ValueError(
+                f"early_stop_patience must be >= 1, got {self.early_stop_patience!r}")
         if not 0.0 <= self.val_fraction <= 0.5:
             raise ValueError("val_fraction must lie in [0, 0.5]")
 
@@ -160,6 +169,21 @@ def mse_loss(params: NetworkParams, X: np.ndarray, T: np.ndarray) -> float:
     return float(np.mean((pred - T) ** 2))
 
 
+def _backprop(params: NetworkParams, X: np.ndarray, T: np.ndarray, grads_w: list,
+              grads_b: list):
+    """Write the exact gradients of the batch MSE loss into ``grads_w`` and
+    ``grads_b``, one (out x in) and one (out,) array per layer; no checks."""
+    pre, post = _forward_cached(params, X)
+    n, p = T.shape
+    delta = 2.0 * (post[-1] - T) / (n * p)
+    for k in range(len(params.weights) - 1, -1, -1):
+        np.matmul(delta.T, post[k], out=grads_w[k])
+        np.add.reduce(delta, axis=0, out=grads_b[k])
+        if k > 0:
+            delta = (delta @ params.weights[k]) * _act_grad(
+                params.hidden_activation, pre[k - 1], post[k])
+
+
 def gradients(params: NetworkParams, batch_inputs: np.ndarray,
               batch_targets: np.ndarray):
     """Exact gradients of the batch MSE loss for every weight and bias."""
@@ -170,18 +194,63 @@ def gradients(params: NetworkParams, batch_inputs: np.ndarray,
     if T.shape[1] != params.weights[-1].shape[0]:
         raise ShapeMismatch(
             f"targets have {T.shape[1]} outputs, network produces {params.weights[-1].shape[0]}")
-    pre, post = _forward_cached(params, X)
-    n, p = T.shape
-    delta = 2.0 * (post[-1] - T) / (n * p)
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
-    for k in range(len(params.weights) - 1, -1, -1):
-        grads_w[k] = delta.T @ post[k]
-        grads_b[k] = delta.sum(axis=0)
-        if k > 0:
-            delta = (delta @ params.weights[k]) * _act_grad(
-                params.hidden_activation, pre[k - 1], post[k])
+    grads_w = [np.empty_like(w) for w in params.weights]
+    grads_b = [np.empty_like(b) for b in params.biases]
+    _backprop(params, X, T, grads_w, grads_b)
     return grads_w, grads_b
+
+
+def _layer_views(flat: np.ndarray, dims: list):
+    """Per-layer (out x in) weight and (out,) bias views of a flat vector that
+    holds each layer's weights, row-major, followed by its biases."""
+    weights, biases, lo = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        mid = lo + fan_out * fan_in
+        weights.append(flat[lo:mid].reshape(fan_out, fan_in))
+        biases.append(flat[mid:mid + fan_out])
+        lo = mid + fan_out
+    return weights, biases
+
+
+def _fused_update(config: TrainConfig, theta: np.ndarray):
+    """The in-place optimizer step ``update(grad, step)`` on the flat vector
+    ``theta``, with its state and scratch allocated once.  Every element runs
+    the operations of ``theta -= lr * g`` (sgd), ``m = mu * m + g;
+    theta -= lr * m`` (sgd_momentum) or Kingma & Ba's Adam, in that order."""
+    lr = config.learning_rate
+    m, v, tmp, tmp2 = (np.zeros_like(theta) for _ in range(4))
+
+    if config.optimizer == "sgd":
+        def update(g, step):
+            np.multiply(g, lr, out=tmp)
+            np.subtract(theta, tmp, out=theta)
+    elif config.optimizer == "sgd_momentum":
+        mu = config.momentum
+
+        def update(g, step):
+            np.multiply(m, mu, out=m)
+            np.add(m, g, out=m)
+            np.multiply(m, lr, out=tmp)
+            np.subtract(theta, tmp, out=theta)
+    else:
+        b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+
+        def update(g, step):
+            np.multiply(m, b1, out=m)  # m = b1 * m + (1 - b1) * g
+            np.multiply(g, 1 - b1, out=tmp)
+            np.add(m, tmp, out=m)
+            np.multiply(v, b2, out=v)  # v = b2 * v + ((1 - b2) * g) * g
+            np.multiply(g, 1 - b2, out=tmp)
+            np.multiply(tmp, g, out=tmp)
+            np.add(v, tmp, out=v)
+            np.divide(m, 1 - b1 ** step, out=tmp)  # theta -= (lr * m_hat) / (sqrt(v_hat) + eps)
+            np.multiply(tmp, lr, out=tmp)
+            np.divide(v, 1 - b2 ** step, out=tmp2)
+            np.sqrt(tmp2, out=tmp2)
+            np.add(tmp2, eps, out=tmp2)
+            np.divide(tmp, tmp2, out=tmp)
+            np.subtract(theta, tmp, out=theta)
+    return update
 
 
 def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
@@ -190,7 +259,8 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
 
     Returns (NetworkParams, TrainLog).  When early stopping is configured the
     parameters at the best validation loss are returned; otherwise the final
-    parameters.
+    parameters.  Either way the weights and biases are C-contiguous views into
+    one flat parameter vector.
     """
     X = np.asarray(inputs, dtype=float)
     T = np.asarray(targets, dtype=float)
@@ -216,13 +286,18 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
         X_tr, T_tr = X, T
         X_val = T_val = None
 
-    params = init_network(spec)
+    dims = spec.layer_dims
+    init = init_network(spec)
+    theta = np.concatenate([a.ravel() for w, b in zip(init.weights, init.biases)
+                            for a in (w, b)])
+    params = NetworkParams(*_layer_views(theta, dims), spec.hidden_activation)
+    grad = np.zeros_like(theta)
+    grads_w, grads_b = _layer_views(grad, dims)
+    update = _fused_update(config, theta)
     initial_loss = mse_loss(params, X_tr, T_tr)
-    state_m = [np.zeros_like(w) for w in params.weights] + [np.zeros_like(b) for b in params.biases]
-    state_v = [np.zeros_like(w) for w in params.weights] + [np.zeros_like(b) for b in params.biases]
     step = 0
     log = TrainLog()
-    best = (np.inf, None, None)
+    best_loss, best_theta = np.inf, None
     n_tr = X_tr.shape[0]
     batch = min(config.batch_size, n_tr)
 
@@ -230,22 +305,9 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
         order = rng.permutation(n_tr)
         for lo in range(0, n_tr, batch):
             idx = order[lo:lo + batch]
-            gw, gb = gradients(params, X_tr[idx], T_tr[idx])
-            flat_params = params.weights + params.biases
-            flat_grads = gw + gb
+            _backprop(params, X_tr[idx], T_tr[idx], grads_w, grads_b)
             step += 1
-            for k, (theta, g) in enumerate(zip(flat_params, flat_grads)):
-                if config.optimizer == "sgd":
-                    theta -= config.learning_rate * g
-                elif config.optimizer == "sgd_momentum":
-                    state_m[k] = config.momentum * state_m[k] + g
-                    theta -= config.learning_rate * state_m[k]
-                else:
-                    state_m[k] = config.adam_beta1 * state_m[k] + (1 - config.adam_beta1) * g
-                    state_v[k] = config.adam_beta2 * state_v[k] + (1 - config.adam_beta2) * g * g
-                    m_hat = state_m[k] / (1 - config.adam_beta1 ** step)
-                    v_hat = state_v[k] / (1 - config.adam_beta2 ** step)
-                    theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            update(grad, step)
         train_loss = mse_loss(params, X_tr, T_tr)
         if not train_loss <= DIVERGENCE_RATIO * initial_loss:  # also when NaN
             raise DivergenceDetected(f"training diverged at epoch {epoch}: loss "
@@ -254,14 +316,13 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
         if use_val:
             val_loss = mse_loss(params, X_val, T_val)
             log.val_loss.append(val_loss)
-            if val_loss < best[0]:
-                best = (val_loss, params.copy(), epoch)
-            elif epoch - (best[2] if best[2] is not None else 0) >= config.early_stop_patience:
+            if val_loss < best_loss:
+                best_loss, best_theta, log.best_epoch = val_loss, theta.copy(), epoch
+            elif epoch - (log.best_epoch or 0) >= config.early_stop_patience:
                 break
 
-    if use_val and best[1] is not None:
-        log.best_epoch = best[2]
-        return best[1], log
+    if best_theta is not None:
+        return NetworkParams(*_layer_views(best_theta, dims), spec.hidden_activation), log
     return params, log
 
 

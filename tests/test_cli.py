@@ -126,6 +126,12 @@ class TestTrain:
         '{"split": {"test_fraction": "abc"}}',
         '{"pipeline": {"train": {"epochs": "many"}}}',
         '{"pipeline": {"train": {"bogus": 1}}}',
+        '{"pipeline": {"train": {"learning_rate": Infinity}}}',
+        '{"pipeline": {"train": {"momentum": -3}}}',
+        '{"pipeline": {"train": {"adam_beta1": 1.0}}}',
+        '{"pipeline": {"train": {"adam_beta2": 1.5}}}',
+        '{"pipeline": {"train": {"adam_eps": -1}}}',
+        '{"pipeline": {"train": {"early_stop_patience": 0}}}',
         '5',
         '{broken',
     ])
@@ -169,6 +175,20 @@ class TestTrain:
         assert code == 0
         doc = json.loads(out)
         assert doc["L"] == 4 and doc["P"] == 3 and doc["regressor"] == "fflm"
+
+
+    @pytest.mark.parametrize("bad_id", [1, None, float("nan"), ["x1"]])
+    def test_non_string_variable_id_exit_2(self, synthesized, bad_id, tmp_path, capsys):
+        _, out_dir = synthesized
+        schema = json.loads((out_dir / "schema.json").read_text())
+        schema["covariates"] = [bad_id]
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(schema))
+        code, _, err = run(capsys, "train", "--data", str(out_dir / "data.csv"),
+                           "--schema", str(bad), "--model-out", str(tmp_path / "m.json"),
+                           "--baseline", "fflm")
+        assert code == 2 and "is not a string" in err
+        assert_one_error_line(err)
 
 
 class TestPredict:
@@ -334,6 +354,16 @@ class TestFpcaReport:
             "--out", str(tmp_path / "p.csv")]
         code, _, err = run(capsys, command, "--model", str(bad), *extra)
         assert code == 3 and "'grid'" in err
+        assert_one_error_line(err)
+
+    @pytest.mark.parametrize("command", ["predict", "fpca-report"])
+    def test_missing_model_exit_2(self, synthesized, command, tmp_path, capsys):
+        _, out_dir = synthesized
+        extra = [] if command == "fpca-report" else [
+            "--data", str(out_dir / "data.csv"), "--schema", str(out_dir / "schema.json"),
+            "--out", str(tmp_path / "p.csv")]
+        code, _, err = run(capsys, command, "--model", str(tmp_path / "missing.json"), *extra)
+        assert code == 2 and "missing.json" in err
         assert_one_error_line(err)
 
     def test_corrupt_artifact_exit_3(self, tmp_path, capsys):

@@ -113,6 +113,16 @@ class TestSchema:
             DatasetSchema.from_dict(dict(d, covariates=["x1"], responses="y1"))
 
 
+    @pytest.mark.parametrize("bad_id", [1, 2.5, None, float("nan"), ["x1"]])
+    def test_rejects_non_string_variable_id(self, bad_id):
+        d = {"covariates": ["x1", bad_id], "responses": ["y1"],
+             "covariate_domain": [0, 1], "response_domain": [0, 1]}
+        with pytest.raises(MalformedRow, match=r"covariates: variable id .* is not a string"):
+            DatasetSchema.from_dict(d)
+        with pytest.raises(MalformedRow, match=r"responses: variable id .* is not a string"):
+            DatasetSchema.from_dict(dict(d, covariates=["x1"], responses=[bad_id]))
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         data, schema = small_dataset()

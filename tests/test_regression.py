@@ -1,13 +1,20 @@
 """Network and linear-baseline regressor tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from fofr.errors import DivergenceDetected, ShapeMismatch
 from fofr.regression import (
+    DIVERGENCE_RATIO,
     FflmParams,
+    NetworkParams,
     NetworkSpec,
     TrainConfig,
+    TrainLog,
+    _act_grad,
+    _forward_cached,
     count_params,
     fit_fflm,
     forward,
@@ -36,6 +43,124 @@ def finite_difference_grads(params, X, T, h=1e-6):
                 flat[i] = orig
                 out[i] = (up - down) / (2 * h)
     return fd_w, fd_b
+
+
+def _reference_gradients(params, X, T):
+    """Per-layer backpropagation into freshly allocated arrays."""
+    pre, post = _forward_cached(params, X)
+    n, p = T.shape
+    delta = 2.0 * (post[-1] - T) / (n * p)
+    grads_w = [None] * len(params.weights)
+    grads_b = [None] * len(params.biases)
+    for k in range(len(params.weights) - 1, -1, -1):
+        grads_w[k] = delta.T @ post[k]
+        grads_b[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ params.weights[k]) * _act_grad(
+                params.hidden_activation, pre[k - 1], post[k])
+    return grads_w, grads_b
+
+
+def _reference_train(spec, config, X, T):
+    """Mini-batch training with one optimizer update per weight and bias array:
+    the oracle that the flat-vector ``train_network`` must match bit for bit."""
+    rng = np.random.default_rng(config.seed)
+    n = X.shape[0]
+    use_val = config.val_fraction > 0 and config.early_stop_patience is not None
+    if use_val:
+        n_val = max(1, int(round(config.val_fraction * n)))
+        perm = rng.permutation(n)
+        val_idx, train_idx = perm[:n_val], perm[n_val:]
+        X_val, T_val = X[val_idx], T[val_idx]
+        X_tr, T_tr = X[train_idx], T[train_idx]
+    else:
+        X_tr, T_tr = X, T
+
+    params = init_network(spec)
+    initial_loss = mse_loss(params, X_tr, T_tr)
+    state_m = [np.zeros_like(a) for a in params.weights + params.biases]
+    state_v = [np.zeros_like(a) for a in params.weights + params.biases]
+    step = 0
+    log = TrainLog()
+    best = (np.inf, None, None)
+    n_tr = X_tr.shape[0]
+    batch = min(config.batch_size, n_tr)
+    for epoch in range(config.epochs):
+        order = rng.permutation(n_tr)
+        for lo in range(0, n_tr, batch):
+            idx = order[lo:lo + batch]
+            gw, gb = _reference_gradients(params, X_tr[idx], T_tr[idx])
+            step += 1
+            for k, (theta, g) in enumerate(zip(params.weights + params.biases, gw + gb)):
+                if config.optimizer == "sgd":
+                    theta -= config.learning_rate * g
+                elif config.optimizer == "sgd_momentum":
+                    state_m[k] = config.momentum * state_m[k] + g
+                    theta -= config.learning_rate * state_m[k]
+                else:
+                    state_m[k] = config.adam_beta1 * state_m[k] + (1 - config.adam_beta1) * g
+                    state_v[k] = config.adam_beta2 * state_v[k] + (1 - config.adam_beta2) * g * g
+                    m_hat = state_m[k] / (1 - config.adam_beta1 ** step)
+                    v_hat = state_v[k] / (1 - config.adam_beta2 ** step)
+                    theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        train_loss = mse_loss(params, X_tr, T_tr)
+        if not train_loss <= DIVERGENCE_RATIO * initial_loss:
+            raise DivergenceDetected(f"training diverged at epoch {epoch}: loss "
+                                     f"{train_loss:.3g}, initial loss {initial_loss:.3g}")
+        log.train_loss.append(train_loss)
+        if use_val:
+            val_loss = mse_loss(params, X_val, T_val)
+            log.val_loss.append(val_loss)
+            if val_loss < best[0]:
+                best = (val_loss, NetworkParams([w.copy() for w in params.weights],
+                                                [b.copy() for b in params.biases],
+                                                params.hidden_activation), epoch)
+            elif epoch - (best[2] if best[2] is not None else 0) >= config.early_stop_patience:
+                break
+    if use_val and best[1] is not None:
+        log.best_epoch = best[2]
+        return best[1], log
+    return params, log
+
+
+class TestFlatTrainingMatchesReference:
+    @staticmethod
+    def _data(seed=12, n=64):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 3))
+        return X, np.tanh(X @ rng.standard_normal((2, 3)).T) + 0.1 * rng.standard_normal((n, 2))
+
+    @pytest.mark.parametrize("optimizer, activation, widths, early_stop", itertools.product(
+        ["sgd", "sgd_momentum", "adam"], ["elu", "relu", "tanh"], [(16,), (8, 4)],
+        [False, True]))
+    def test_bit_equal(self, optimizer, activation, widths, early_stop):
+        X, T = self._data()
+        spec = NetworkSpec(3, widths, 2, activation, seed=23)
+        stop = dict(val_fraction=0.25, early_stop_patience=10) if early_stop else {}
+        cfg = TrainConfig(epochs=60, batch_size=16, learning_rate=5e-2, optimizer=optimizer,
+                          seed=29, **stop)
+        params, log = train_network(spec, cfg, X, T)
+        ref_params, ref_log = _reference_train(spec, cfg, X, T)
+        for a, b in zip(params.weights + params.biases, ref_params.weights + ref_params.biases):
+            assert a.flags.c_contiguous and a.shape == b.shape
+            np.testing.assert_array_equal(a, b, strict=True)
+        assert log.train_loss == ref_log.train_loss
+        assert log.val_loss == ref_log.val_loss
+        assert log.best_epoch == ref_log.best_epoch
+        assert params.hidden_activation == activation
+
+    @pytest.mark.parametrize("optimizer, learning_rate", [
+        ("sgd", 2.0), ("sgd_momentum", 1.0), ("adam", 2.0)])
+    def test_diverges_at_the_same_epoch(self, optimizer, learning_rate):
+        X, T = self._data(seed=31)
+        spec = NetworkSpec(3, (8, 4), 2, seed=37)
+        cfg = TrainConfig(epochs=50, learning_rate=learning_rate, optimizer=optimizer, seed=41)
+        messages = []
+        for train in (train_network, _reference_train):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceDetected) as err:
+                train(spec, cfg, X, T)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestGradients:
@@ -172,6 +297,14 @@ class TestTraining:
             with pytest.raises(ValueError):
                 TrainConfig(epochs=epochs)
         assert TrainConfig(epochs=0).epochs == 0
+        for bad in (dict(learning_rate=np.inf), dict(learning_rate=np.nan),
+                    dict(momentum=-3.0), dict(momentum=1.0), dict(adam_beta1=1.0),
+                    dict(adam_beta1=np.nan), dict(adam_beta2=1.5), dict(adam_beta2=-0.1),
+                    dict(adam_eps=-1.0), dict(adam_eps=0.0), dict(adam_eps=np.inf),
+                    dict(early_stop_patience=0), dict(early_stop_patience=-2)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
+        TrainConfig(momentum=0.0, adam_beta1=0.0, adam_beta2=0.0, early_stop_patience=1)
 
 
 class TestFflm:
