@@ -171,13 +171,21 @@ class FunctionalDataset:
             for sid, row in zip(self.subject_ids, rows):
                 if len(row) != len(names):
                     raise MissingChannel(f"subject {sid!r} lacks a {side} channel")
-                for name, series in zip(names, row):
-                    if not domain.contains(series.times):
-                        raise DomainViolation(
-                            f"subject {sid!r} channel {name!r}: time outside {side} domain")
-        for side, names, domain, rows in sides:
             for c, name in enumerate(names):
-                _check_coverage([row[c] for row in rows], domain, name)
+                series_set = [row[c] for row in rows]
+                i = _first_outside(series_set, domain)
+                if i is not None:
+                    raise DomainViolation(f"subject {self.subject_ids[i]!r} channel {name!r}: "
+                                          f"time outside {side} domain")
+                _check_coverage(series_set, domain, name)
+
+
+def _first_outside(series_set, domain: Interval) -> int | None:
+    """Index of the first series with a time outside ``domain``, or None; one
+    comparison over the pooled times, a search of the series only on failure."""
+    if domain.contains(np.concatenate([s.times for s in series_set])):
+        return None
+    return next(i for i, s in enumerate(series_set) if not domain.contains(s.times))
 
 
 def _check_coverage(series_set, domain: Interval, name: str):

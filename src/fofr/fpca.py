@@ -4,7 +4,7 @@ The univariate step eigendecomposes the weighted discretization of each
 channel's covariance operator; the multivariate step recombines the
 univariate eigenfunctions through the eigenvectors of the score covariance
 matrix, following the score-space construction for multivariate
-eigenfunctions.
+eigenfunctions.  Projection and reconstruction take all N subjects at once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from fofr.core import EvalGrid, ObservationSeries
+from fofr.core import EvalGrid
 from fofr.errors import (
     BlockMismatch,
     ChannelCountMismatch,
@@ -22,7 +22,6 @@ from fofr.errors import (
     EmptySpectrum,
     LengthMismatch,
     TooFewSubjects,
-    TooSparse,
 )
 from fofr.smoothing import CovarianceSurface
 
@@ -128,17 +127,13 @@ def univariate_fpca(surface: CovarianceSurface, rule: TruncationRule,
     return UnivariateEigenSystem(grid, lam, funcs, channel)
 
 
-def interp_to_grid(series: ObservationSeries, grid: EvalGrid) -> np.ndarray:
-    """Linear interpolation onto the grid; constant beyond the observed span."""
-    return np.interp(grid.points, series.times, series.values)
-
-
-def project_univariate(series_z: ObservationSeries, eig: UnivariateEigenSystem) -> np.ndarray:
-    """Quadrature scores of one standardized series against a univariate basis."""
-    if len(series_z) < 2:
-        raise TooSparse(f"need at least 2 observations to project, got {len(series_z)}")
-    y = interp_to_grid(series_z, eig.grid)
-    return eig.eigenfunctions @ (eig.grid.quad_weights * y)
+def project_univariate(curves: np.ndarray, eig: UnivariateEigenSystem) -> np.ndarray:
+    """Quadrature scores, (N, P), of (N, G) standardized grid curves against a
+    univariate basis."""
+    # one matrix-vector product per subject, not one (N, G) x (G, P) product:
+    # each score then sums in the same order whatever N is
+    weighted = eig.grid.quad_weights * curves
+    return np.matmul(eig.eigenfunctions, weighted[..., None])[..., 0]
 
 
 def score_covariance(scores: np.ndarray) -> np.ndarray:
@@ -202,26 +197,22 @@ def multivariate_fpca(univariate_systems, xi: np.ndarray,
     return MultivariateEigenSystem(grid, lam, funcs, cvecs, widths)
 
 
-def project_multivariate(sample_z, eig: MultivariateEigenSystem) -> np.ndarray:
-    """Multivariate quadrature scores of one standardized sample.
-
-    ``sample_z`` holds one standardized ObservationSeries per channel.
-    """
-    sample_z = list(sample_z)
-    if len(sample_z) != eig.n_channels:
-        raise ChannelCountMismatch(
-            f"sample has {len(sample_z)} channels, eigen system has {eig.n_channels}")
-    stacked = np.stack([interp_to_grid(s, eig.grid) for s in sample_z])  # (D, G)
-    return np.einsum("pdg,dg,g->p", eig.eigenfunctions, stacked, eig.grid.quad_weights)
+def project_multivariate(curves: np.ndarray, eig: MultivariateEigenSystem) -> np.ndarray:
+    """Multivariate quadrature scores, (N, L), of (N, D, G) standardized grid curves."""
+    curves = np.asarray(curves, dtype=float)
+    if curves.shape[1:] != eig.eigenfunctions.shape[1:]:
+        raise ChannelCountMismatch(f"curves have shape {curves.shape}, eigen system "
+                                   f"expects (N, {eig.n_channels}, {eig.grid.size})")
+    return np.einsum("pdg,ndg,g->np", eig.eigenfunctions, curves, eig.grid.quad_weights)
 
 
 def reconstruct(scores: np.ndarray, eig: MultivariateEigenSystem) -> np.ndarray:
-    """Per-channel functions on the grid from a truncated score vector."""
+    """Per-channel functions on the grid, (N, D, G), from (N, P) truncated scores."""
     scores = np.asarray(scores, dtype=float)
-    if scores.shape != (eig.n_components,):
+    if scores.ndim != 2 or scores.shape[1] != eig.n_components:
         raise LengthMismatch(
-            f"score vector has length {scores.shape}, expected ({eig.n_components},)")
-    return np.einsum("p,pdg->dg", scores, eig.eigenfunctions)
+            f"scores have shape {scores.shape}, expected (N, {eig.n_components})")
+    return np.einsum("np,pdg->ndg", scores, eig.eigenfunctions)
 
 
 def fve_table(eigenvalues: np.ndarray) -> list:

@@ -4,7 +4,8 @@ Training: per-channel mean/covariance smoothing, point-wise standardization,
 univariate then multivariate FPCA per side, score projection, and regressor
 fitting.  Application: standardize new covariates with the training
 parameters, project, map through the regressor, reconstruct on the response
-grid and scale back to the original units.
+grid and scale back to the original units.  Both score all subjects in one
+pass, on an (N, C, G) array of each side's standardized grid curves.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fofr.core import (
     FunctionalDataset,
     Interval,
     ObservationSeries,
+    _first_outside,
     _read_json,
     make_grid,
 )
@@ -35,6 +37,7 @@ from fofr.errors import (
     FofrError,
     NoOverlap,
     PipelineError,
+    TooSparse,
     VersionMismatch,
 )
 from fofr.fpca import (
@@ -228,14 +231,34 @@ def _stage(label: str):
         raise PipelineError(label, exc) from exc
 
 
+def _capped(rule: TruncationRule, cap: int) -> TruncationRule:
+    """``rule`` keeping at most ``cap`` components."""
+    return replace(rule, max_components=min(cap, rule.max_components or cap))
+
+
+def _standardized_curves(channels, names, standardization, subject_ids) -> np.ndarray:
+    """(N, C, G) grid curves of a side's series (``channels[c][i]``: subject i,
+    channel c), each Z-scored at its own times, then interpolated linearly onto
+    the grid and held constant beyond its observed span; raises TooSparse on a
+    series with fewer than 2 observations."""
+    curves = np.empty((len(subject_ids), len(names), standardization[0].grid.size))
+    for c, (name, series_set, params) in enumerate(zip(names, channels, standardization)):
+        for i, series in enumerate(series_set):
+            if len(series) < 2:
+                raise TooSparse(f"subject {subject_ids[i]!r} channel {name!r}: need at least "
+                                f"2 observations to project, got {len(series)}")
+            z = standardize(series, params)
+            curves[i, c] = np.interp(params.grid.points, z.times, z.values)
+    return curves
+
+
 def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label,
-              n_subjects, diagnostics):
+              subject_ids, diagnostics):
     """Smooth, standardize and run FPCA for one side; returns the SideModel
-    plus the standardized series (per subject, per channel)."""
+    plus the (N, L) multivariate scores of its subjects."""
     grid = make_grid(domain, grid_size)
     standardizations = []
     univariate_systems = []
-    standardized = [[] for _ in range(n_subjects)]
     side_diag = {"channels": {}, "bandwidths": {}}
 
     for name, series_set in zip(names, channels):
@@ -250,8 +273,6 @@ def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label,
             surface = smooth_covariance(series_set, mean, resolved, grid)
             params = build_standardization(mean, surface)
         standardizations.append(params)
-        for i, series in enumerate(series_set):
-            standardized[i].append(standardize(series, params))
 
         # covariance of the standardized process, by rescaling the raw surface
         sd = np.sqrt(params.var_values)
@@ -259,10 +280,7 @@ def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label,
         variance = np.diag(surface.values)
         floor = variance_floor(variance)
         ch_diag = {"variance_floor": floor, "n_variance_clipped": int(np.sum(variance < floor))}
-        cap = min(n_subjects - 1, grid.size)
-        uni_rule = TruncationRule(rule.fve_cutoff,
-                                  cap if rule.max_components is None
-                                  else min(cap, rule.max_components))
+        uni_rule = _capped(rule, min(len(subject_ids) - 1, grid.size))
         with _stage(f"fpca/{label}"):
             try:
                 system = univariate_fpca(z_surface, uni_rule, channel=name)
@@ -282,18 +300,13 @@ def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label,
                             EmptySpectrum("every channel has an empty spectrum"))
 
     with _stage(f"fpca/{side_label}/multivariate"):
-        scores = np.stack([
-            np.concatenate([project_univariate(standardized[i][c], univariate_systems[c])
-                            if univariate_systems[c].n_components else np.zeros(0)
-                            for c in range(len(names))])
-            for i in range(n_subjects)
-        ])
+        curves = _standardized_curves(channels, names, standardizations, subject_ids)
+        scores = np.concatenate([project_univariate(curves[:, c], system)
+                                 for c, system in enumerate(univariate_systems)], axis=1)
         xi = score_covariance(scores)
-        cap = min(n_subjects - 1, p_plus)
-        multi_rule = TruncationRule(rule.fve_cutoff,
-                                    cap if rule.max_components is None
-                                    else min(cap, rule.max_components))
-        multivariate = multivariate_fpca(univariate_systems, xi, multi_rule)
+        multivariate = multivariate_fpca(univariate_systems, xi,
+                                         _capped(rule, min(len(subject_ids) - 1, p_plus)))
+        side_scores = project_multivariate(curves, multivariate)
 
     side_diag["multivariate_eigenvalues"] = multivariate.eigenvalues.tolist()
     side_diag["multivariate_fve"] = fve_table(multivariate.eigenvalues)
@@ -302,7 +315,7 @@ def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label,
 
     side = SideModel(grid, tuple(names), tuple(standardizations),
                      tuple(univariate_systems), multivariate)
-    return side, standardized
+    return side, side_scores
 
 
 def train_pipeline(data: FunctionalDataset, config: PipelineConfig):
@@ -310,23 +323,16 @@ def train_pipeline(data: FunctionalDataset, config: PipelineConfig):
     if data.responses is None:
         raise PipelineError("input", ChannelMismatch("training data has no responses"))
     diagnostics = {}
-    n = data.n_subjects
 
     cov_channels = [data.covariate_channel(r) for r in range(data.n_covariates)]
     res_channels = [data.response_channel(d) for d in range(data.n_responses)]
 
-    cov_side, cov_z = _fit_side(cov_channels, data.covariate_names, data.covariate_domain,
-                                config.grid_size_s, config.kernel_x, config.truncation_x,
-                                "covariate", n, diagnostics)
-    res_side, res_z = _fit_side(res_channels, data.response_names, data.response_domain,
-                                config.grid_size_t, config.kernel_y, config.truncation_y,
-                                "response", n, diagnostics)
-
-    with _stage("projection"):
-        inputs = np.stack([project_multivariate(cov_z[i], cov_side.multivariate)
-                           for i in range(n)])
-        targets = np.stack([project_multivariate(res_z[i], res_side.multivariate)
-                            for i in range(n)])
+    cov_side, inputs = _fit_side(cov_channels, data.covariate_names, data.covariate_domain,
+                                 config.grid_size_s, config.kernel_x, config.truncation_x,
+                                 "covariate", data.subject_ids, diagnostics)
+    res_side, targets = _fit_side(res_channels, data.response_names, data.response_domain,
+                                  config.grid_size_t, config.kernel_y, config.truncation_y,
+                                  "response", data.subject_ids, diagnostics)
 
     l = cov_side.multivariate.n_components
     p = res_side.multivariate.n_components
@@ -355,38 +361,29 @@ def train_pipeline(data: FunctionalDataset, config: PipelineConfig):
 
 
 def predict_pipeline(model: TrainedModel, new_data: FunctionalDataset) -> PredictionSet:
-    """Apply a trained model to new covariate data."""
-    if tuple(new_data.covariate_names) != model.covariate_side.channel_names:
+    """Apply a trained model to new covariate data, scoring every subject at once."""
+    cov, res = model.covariate_side, model.response_side
+    if tuple(new_data.covariate_names) != cov.channel_names:
         raise ChannelMismatch(
             f"covariate channels {list(new_data.covariate_names)} do not match the "
-            f"model's {list(model.covariate_side.channel_names)}")
-    dom = model.covariate_side.grid.interval
-    n = new_data.n_subjects
-    d_out = model.response_side.n_channels
-    g_out = model.response_side.grid.size
-    values = np.empty((n, d_out, g_out))
-    sds = [np.sqrt(p.var_values) for p in model.response_side.standardization]
-    means = [p.mean_values for p in model.response_side.standardization]
-    for i in range(n):
-        sample_z = []
-        for r, params in enumerate(model.covariate_side.standardization):
-            series = new_data.covariates[i][r]
-            if not dom.contains(series.times):
-                raise DomainViolation(
-                    f"subject {new_data.subject_ids[i]!r}: covariate times outside "
-                    f"the training domain [{dom.lo}, {dom.hi}]")
-            sample_z.append(standardize(series, params))
-        eta = project_multivariate(sample_z, model.covariate_side.multivariate)
-        if model.regressor_kind == "fflm":
-            out_scores = predict_fflm(model.regressor, eta)
-        else:
-            out_scores = forward(model.regressor, eta)
-        z_curves = reconstruct(out_scores, model.response_side.multivariate)
-        for d in range(d_out):
-            values[i, d] = z_curves[d] * sds[d] + means[d]
-    return PredictionSet(tuple(new_data.subject_ids),
-                         model.response_side.channel_names,
-                         model.response_side.grid, values)
+            f"model's {list(cov.channel_names)}")
+    dom = cov.grid.interval
+    channels = [new_data.covariate_channel(r) for r in range(new_data.n_covariates)]
+    for series_set in channels:
+        i = _first_outside(series_set, dom)
+        if i is not None:
+            raise DomainViolation(
+                f"subject {new_data.subject_ids[i]!r}: covariate times outside "
+                f"the training domain [{dom.lo}, {dom.hi}]")
+    curves = _standardized_curves(channels, cov.channel_names, cov.standardization,
+                                  new_data.subject_ids)
+    eta = project_multivariate(curves, cov.multivariate)
+    regress = predict_fflm if model.regressor_kind == "fflm" else forward
+    out_scores = regress(model.regressor, eta)
+    sds = np.sqrt([p.var_values for p in res.standardization])
+    means = np.array([p.mean_values for p in res.standardization])
+    values = reconstruct(out_scores, res.multivariate) * sds + means
+    return PredictionSet(tuple(new_data.subject_ids), res.channel_names, res.grid, values)
 
 
 def evaluate(predictions: PredictionSet, truth: FunctionalDataset) -> MetricsReport:

@@ -240,6 +240,19 @@ class TestPredict:
         assert code == 2 and "training domain" in err
         assert_one_error_line(err)
 
+    def test_one_point_series_exit_3(self, trained, tmp_path, capsys):
+        tmp, out_dir, model, _ = trained
+        lines = (out_dir / "data.csv").read_text().splitlines(keepends=True)
+        subject = lines[1].split(",")[0]
+        x1 = [ln for ln in lines if ln.startswith(f"{subject},x1,")]
+        data = tmp_path / "data.csv"
+        data.write_text("".join(ln for ln in lines if ln not in x1[1:]))
+        code, _, err = run(capsys, "predict", "--model", str(model), "--data", str(data),
+                           "--schema", str(out_dir / "schema.json"),
+                           "--out", str(tmp_path / "p.csv"))
+        assert code == 3 and f"subject {subject!r} channel 'x1'" in err
+        assert_one_error_line(err)
+
     def test_idempotent(self, trained, capsys):
         tmp, out_dir, model, _ = trained
         p1, p2 = tmp / "p1.csv", tmp / "p2.csv"

@@ -283,6 +283,24 @@ class TestDatasetValidation:
                 responses=data.responses[:1],
             )
 
+    def test_time_outside_domain_names_subject_and_channel(self):
+        data, _ = small_dataset()
+        rows = [list(row) for row in data.covariates]
+        series = rows[5][1]
+        rows[5][1] = ObservationSeries(np.append(series.times, data.covariate_domain.hi + 0.1),
+                                       np.append(series.values, 0.0))
+        with pytest.raises(DomainViolation,
+                           match=f"subject {data.subject_ids[5]!r} channel 'x2'"):
+            FunctionalDataset(
+                covariate_domain=data.covariate_domain,
+                response_domain=data.response_domain,
+                covariate_names=data.covariate_names,
+                response_names=data.response_names,
+                subject_ids=data.subject_ids,
+                covariates=rows,
+                responses=data.responses,
+            )
+
     def test_coverage_too_few_pooled_times(self):
         times = np.array([0.0, 1.0])
         series = ObservationSeries(times, np.zeros(2))

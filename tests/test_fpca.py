@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from fofr.core import Interval, ObservationSeries, make_grid
+from fofr.core import Interval, make_grid
 from fofr.errors import (
     BlockMismatch,
     ChannelCountMismatch,
     EmptySpectrum,
     LengthMismatch,
     TooFewSubjects,
-    TooSparse,
 )
 from fofr.fpca import (
     TruncationRule,
@@ -111,20 +110,23 @@ class TestProjection:
         lam = [1.0, 0.5]
         surface, tab = planted_surface(grid, lam)
         system = univariate_fpca(surface, TruncationRule(0.999))
-        truth_scores = np.array([0.8, -1.3])
-        curve = truth_scores @ tab
-        series = ObservationSeries(grid.points, curve)
-        est = project_univariate(series, system)
+        truth_scores = np.array([[0.8, -1.3], [0.0, 0.4], [-2.1, 0.3]])
+        curves = truth_scores @ tab
+        est = project_univariate(curves, system)
+        assert est.shape == (3, system.n_components)
         # signs of the estimated basis may differ; compare reconstructions
         recon = est @ system.eigenfunctions
-        np.testing.assert_allclose(recon, curve, atol=1e-3)
+        np.testing.assert_allclose(recon, curves, atol=1e-3)
 
-    def test_too_sparse(self):
-        grid = make_grid(Interval(0, 1), 51)
-        surface, _ = planted_surface(grid, [1.0])
+    def test_batch_rows_equal_single_subject_products(self):
+        grid = make_grid(Interval(0, 1), 101)
+        surface, _ = planted_surface(grid, [1.0, 0.5, 0.25])
         system = univariate_fpca(surface, TruncationRule(1.0))
-        with pytest.raises(TooSparse):
-            project_univariate(ObservationSeries([0.5], [1.0]), system)
+        curves = np.random.default_rng(4).standard_normal((7, grid.size))
+        batch = project_univariate(curves, system)
+        for i, y in enumerate(curves):
+            np.testing.assert_array_equal(
+                batch[i], system.eigenfunctions @ (grid.quad_weights * y))
 
 
 class TestScoreCovariance:
@@ -181,11 +183,11 @@ class TestMultivariateFpca:
     def test_project_reconstruct_round_trip(self):
         grid, systems, xi = self._two_channel_setup()
         multi = multivariate_fpca(systems, xi, TruncationRule(1.0))
-        # a sample inside the span of the retained components
-        scores = np.array([1.0, -0.5, 0.25, 0.1][: multi.n_components])
+        # samples inside the span of the retained components
+        scores = np.random.default_rng(5).standard_normal((6, multi.n_components))
         curves = reconstruct(scores, multi)
-        sample = [ObservationSeries(grid.points, curves[d]) for d in range(2)]
-        back = project_multivariate(sample, multi)
+        assert curves.shape == (6, 2, grid.size)
+        back = project_multivariate(curves, multi)
         np.testing.assert_allclose(back, scores, atol=1e-6)
 
     def test_block_mismatch(self):
@@ -196,12 +198,14 @@ class TestMultivariateFpca:
     def test_channel_count_mismatch(self):
         grid, systems, xi = self._two_channel_setup()
         multi = multivariate_fpca(systems, xi, TruncationRule(1.0))
-        one = [ObservationSeries(grid.points, np.zeros(grid.size))]
-        with pytest.raises(ChannelCountMismatch):
-            project_multivariate(one, multi)
+        for shape in ((3, 1, grid.size), (3, 3, grid.size), (3, 2, grid.size - 1),
+                      (2, grid.size)):
+            with pytest.raises(ChannelCountMismatch):
+                project_multivariate(np.zeros(shape), multi)
 
     def test_reconstruct_length_mismatch(self):
         _, systems, xi = self._two_channel_setup()
         multi = multivariate_fpca(systems, xi, TruncationRule(1.0))
-        with pytest.raises(LengthMismatch):
-            reconstruct(np.zeros(multi.n_components + 1), multi)
+        for shape in ((3, multi.n_components + 1), (multi.n_components,)):
+            with pytest.raises(LengthMismatch):
+                reconstruct(np.zeros(shape), multi)

@@ -17,6 +17,7 @@ from fofr.errors import (
     EmptySpectrum,
     NoOverlap,
     PipelineError,
+    TooSparse,
     VersionMismatch,
 )
 from fofr.pipeline import (
@@ -30,8 +31,8 @@ from fofr.pipeline import (
     split_subjects,
     train_pipeline,
 )
-from fofr.regression import TrainConfig
-from fofr.smoothing import KernelSpec
+from fofr.regression import TrainConfig, fit_fflm, forward, predict_fflm
+from fofr.smoothing import KernelSpec, standardize
 from fofr.synthgen import generate, preset_scenario
 
 
@@ -173,6 +174,78 @@ class TestPredict:
         )
         with pytest.raises(DomainViolation):
             predict_pipeline(model, stretched)
+
+
+    def test_too_sparse_series(self, small_linear, fflm_model):
+        data, _ = small_linear
+        model, _ = fflm_model
+        rows = [list(row) for row in data.covariates]
+        rows[3][1] = ObservationSeries([0.5], [0.1])
+        sparse = replace(data, covariates=rows)
+        named = f"subject {data.subject_ids[3]!r} channel 'x2'"
+        with pytest.raises(TooSparse, match=named):
+            predict_pipeline(model, sparse)
+        with pytest.raises(PipelineError, match=named) as err:
+            train_pipeline(sparse, PipelineConfig(regressor="fflm"))
+        assert err.value.stage == "fpca/covariate/multivariate"
+        assert isinstance(err.value.cause, TooSparse)
+
+
+def per_subject_scores(side, rows):
+    """Reference for the batched score path: standardize one subject's
+    series, interpolate them onto the grid and take that subject's
+    multivariate quadrature scores on their own."""
+    eig = side.multivariate
+    scores = []
+    for row in rows:
+        curves = []
+        for series, params in zip(row, side.standardization):
+            z = standardize(series, params)
+            curves.append(np.interp(side.grid.points, z.times, z.values))
+        scores.append(np.einsum("pdg,dg,g->p", eig.eigenfunctions, np.stack(curves),
+                                eig.grid.quad_weights))
+    return np.stack(scores)
+
+
+def per_subject_predictions(model, data):
+    """Reference for the batched prediction: one subject through the regressor,
+    reconstruction and de-standardization at a time."""
+    res = model.response_side
+    values = np.empty((data.n_subjects, res.n_channels, res.grid.size))
+    for i, eta in enumerate(per_subject_scores(model.covariate_side, data.covariates)):
+        out = (predict_fflm(model.regressor, eta) if model.regressor_kind == "fflm"
+               else forward(model.regressor, eta))
+        z = np.einsum("p,pdg->dg", out, res.multivariate.eigenfunctions)
+        for d, params in enumerate(res.standardization):
+            values[i, d] = z[d] * np.sqrt(params.var_values) + params.mean_values
+    return values
+
+
+@pytest.fixture(scope="module", params=[("dense", 61), ("irregular", 20, 5)], ids=str)
+def split_dense(request):
+    sc = replace(preset_scenario("dense"), n_subjects=100, sampling=request.param)
+    return split_subjects(generate(sc)[0], 0.2, seed=0)
+
+
+class TestBatchedScores:
+    def test_fflm_fit_on_reference_scores_is_bit_equal(self, split_dense):
+        train, _ = split_dense
+        model, _ = train_pipeline(train, PipelineConfig(regressor="fflm"))
+        inputs = per_subject_scores(model.covariate_side, train.covariates)
+        targets = per_subject_scores(model.response_side, train.responses)
+        np.testing.assert_array_equal(fit_fflm(inputs, targets).B, model.regressor.B)
+
+    @pytest.mark.parametrize("config", [
+        PipelineConfig(regressor="fflm"),
+        PipelineConfig(regressor="nn", train=TrainConfig(epochs=30), seed=2),
+    ], ids=["fflm", "nn"])
+    def test_predictions_match_reference(self, split_dense, config):
+        train, test = split_dense
+        model, _ = train_pipeline(train, config)
+        for data in (train, test):
+            expected = per_subject_predictions(model, data)
+            got = predict_pipeline(model, data).values
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestEvaluate:
