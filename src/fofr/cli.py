@@ -9,17 +9,16 @@ Every command is deterministic and idempotent on identical inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
-from itertools import repeat
 
 from fofr.core import (
     PREDICTIONS_HEADER,
     _read_json,
     _read_series,
+    _write_long_csv,
     load_dataset,
     load_schema,
     write_dataset,
@@ -149,13 +148,11 @@ def cmd_train(args) -> int:
 
 def write_predictions_csv(predictions, path):
     """Long CSV of predicted curves on the response grid; repr-float round-trip."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PREDICTIONS_HEADER)
-        times = [repr(t) for t in predictions.grid.points.tolist()]
-        for sid, curves in zip(predictions.subject_ids, predictions.values):
-            for name, curve in zip(predictions.channel_names, curves.tolist()):
-                writer.writerows(zip(repeat(sid), repeat(name), times, map(repr, curve)))
+    times = predictions.grid.points
+    _write_long_csv(path, PREDICTIONS_HEADER, (
+        ((sid, name), times, curve)
+        for sid, curves in zip(predictions.subject_ids, predictions.values)
+        for name, curve in zip(predictions.channel_names, curves)))
 
 
 def cmd_predict(args) -> int:

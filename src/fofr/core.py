@@ -9,9 +9,11 @@ on which they live.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -78,6 +80,16 @@ class ObservationSeries:
 
     def __len__(self) -> int:
         return len(self.times)
+
+
+def _checked_series(times: np.ndarray, values: np.ndarray) -> ObservationSeries:
+    """An ObservationSeries of 1-d float arrays that the caller has already
+    checked to be of equal nonzero length, finite and strictly increasing in
+    time, built without repeating ``__post_init__``'s per-series checks."""
+    series = object.__new__(ObservationSeries)
+    object.__setattr__(series, "times", times)
+    object.__setattr__(series, "values", values)
+    return series
 
 
 @dataclass(frozen=True)
@@ -263,35 +275,109 @@ def load_schema(path) -> DatasetSchema:
     return DatasetSchema.from_dict(_read_json(path, MalformedRow))
 
 
+#: a chunk of lines ends with the line that reaches this many characters; it
+#: converts as fast as larger chunks, and the less it holds at once, the less
+#: its short-lived strings and lists grow the heap (64 KiB raised peak RSS ~1 MB)
+_CHUNK_CHARS = 1 << 13
+
+
+def _chunks(fh, ncol):
+    """Yield the data rows of ``fh`` in chunks as ``(rows, columns)``.
+
+    ``columns`` holds the chunk's ``ncol`` fields column by column, or is None
+    when a row has the wrong field count; ``rows`` iterates the chunk's rows as
+    ``csv.reader`` parses them, for naming a bad line.  A chunk of lines free
+    of quotes, carriage returns and NULs (which the csv module rejects before
+    Python 3.11), and shorter than its field limit, parses as ``str.split``
+    does; from the first chunk that is not, ``csv.reader`` parses the rest of
+    the file, so a quoted field may span lines and chunks.
+    """
+    while lines := fh.readlines(_CHUNK_CHARS):
+        text = "".join(lines)
+        if (len(text) >= csv.field_size_limit() or '"' in text or "\r" in text
+                or "\0" in text):
+            break
+        n = len(lines)
+        if list(map(str.count, lines, repeat(","))).count(ncol - 1) != n:
+            yield csv.reader(lines), None
+            continue
+        fields = text.replace("\n", ",").split(",")
+        yield csv.reader(lines), [fields[k:n * ncol:ncol] for k in range(ncol)]
+    else:
+        return
+    for rows in _batches(csv.reader(chain(lines, fh)), len(lines)):
+        yield rows, None if any(len(row) != ncol for row in rows) else list(zip(*rows))
+
+
+def _batches(items, size):
+    """Lists of up to ``size`` consecutive ``items``.  On a csv or decoding
+    fault, the items read before it come out before the fault is raised, so
+    that a bad row ahead of the fault is reported first."""
+    batch, fault = [], None
+    try:
+        for item in items:
+            batch.append(item)
+            if len(batch) == size:
+                yield batch
+                batch = []
+    except (csv.Error, UnicodeDecodeError) as exc:
+        fault = exc
+    if batch:
+        yield batch
+    if fault is not None:
+        raise fault
+
+
+def _check_rows(path, rows, ncol, lineno):
+    """Raise for the first of ``rows`` (which start at line ``lineno``) with a
+    wrong field count or a non-numeric time/value."""
+    for lineno, row in enumerate(rows, start=lineno):
+        if len(row) != ncol:
+            raise MalformedRow(f"{path}:{lineno}: expected {ncol} fields, got {len(row)}")
+        try:
+            float(row[-2]), float(row[-1])
+        except ValueError as exc:
+            raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
+
+
 def _read_columns(path, headers=(CSV_HEADER,)):
-    """Stream a long CSV whose header is one of ``headers`` into columns,
+    """Read a long CSV whose header is one of ``headers`` into columns,
     rejecting a wrong field count and non-numeric or non-finite numbers.
 
     Returns ``(ids, times, values)``.  ``ids`` holds a ``(names, codes)`` pair
     per id column (subject, variable, then role if the file has one); names
     are in order of first appearance.  Row i of the columns is line i + 2.
+    The file is converted a chunk of rows at a time (see ``_chunks``); the
+    first bad line is searched for only in a chunk that fails to convert.
+    Bytes that are not UTF-8 are found a chunk ahead, so they may be reported
+    in place of a bad row up to ``_CHUNK_CHARS`` characters before them.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header not in headers:
                 expected = " or ".join(repr(",".join(h)) for h in headers)
                 raise MalformedRow(f"{path}: expected header {expected}, got {header!r}")
+            ncol = len(header)
             seen = [{} for _ in header[:-2]]  # id -> code in order of appearance
             codes = [array("i") for _ in header[:-2]]
             times, values = array("d"), array("d")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise MalformedRow(f"{path}:{lineno}: expected {len(header)} fields, "
-                                       f"got {len(row)}")
+            for rows, columns in _chunks(fh, ncol):
                 try:
-                    times.append(float(row[-2]))
-                    values.append(float(row[-1]))
-                except ValueError as exc:
-                    raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
-                for first, column, name in zip(seen, codes, row):
-                    column.append(first.setdefault(name, len(first)))
+                    if columns is None:  # a row has the wrong field count
+                        raise ValueError
+                    n = len(columns[0])
+                    t, v = (np.fromiter(map(float, col), float, n) for col in columns[-2:])
+                except ValueError:
+                    _check_rows(path, rows, ncol, len(times) + 2)
+                    raise
+                times.frombytes(t.tobytes())
+                values.frombytes(v.tobytes())
+                for first, column, names in zip(seen, codes, columns):
+                    for name in dict.fromkeys(names):
+                        first.setdefault(name, len(first))
+                    column.frombytes(
+                        np.fromiter(map(first.__getitem__, names), np.intc, n).tobytes())
     except (csv.Error, UnicodeDecodeError) as exc:  # bad quoting or encoding
         raise MalformedRow(f"{path}: unreadable CSV ({exc})") from exc
 
@@ -387,7 +473,7 @@ def load_dataset(path, schema: DatasetSchema) -> FunctionalDataset:
             first = np.argmax(subject == subjects.index(sid))
             raise MissingChannel(
                 f"{path}:{first + 2}: subject {sid!r} lacks declared variable {var!r}")
-        return ObservationSeries(*groups[sid, var])
+        return _checked_series(*groups[sid, var])  # checked above, over all rows
 
     subject_ids = sorted(subjects)
     covariates = [[series(sid, var) for var in schema.covariates] for sid in subject_ids]
@@ -405,19 +491,33 @@ def load_dataset(path, schema: DatasetSchema) -> FunctionalDataset:
     )
 
 
+def _write_long_csv(path, header, blocks):
+    """Write a long CSV: ``header``, then for each ``(ids, times, values)``
+    block one row ``*ids, t, v`` per observation.
+
+    The id fields of a block are quoted once, by ``csv.writer``'s rules; the
+    numbers are written by ``repr``, an exact float round trip.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for ids, times, values in blocks:
+            record = io.StringIO()
+            csv.writer(record, lineterminator="\n").writerow(ids)
+            prefix = record.getvalue()[:-1]
+            fh.write("".join([f"{prefix},{t!r},{v!r}\n"
+                              for t, v in zip(times.tolist(), values.tolist())]))
+
+
 def write_dataset(dataset: FunctionalDataset, path):
     """Write a dataset in the long CSV format; exact float round-trip via repr."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for i, sid in enumerate(dataset.subject_ids):
-            for name, series in zip(dataset.covariate_names, dataset.covariates[i]):
-                for t, v in zip(series.times, series.values):
-                    writer.writerow([sid, name, "covariate", repr(float(t)), repr(float(v))])
-            if dataset.responses is not None:
-                for name, series in zip(dataset.response_names, dataset.responses[i]):
-                    for t, v in zip(series.times, series.values):
-                        writer.writerow([sid, name, "response", repr(float(t)), repr(float(v))])
+    sides = [("covariate", dataset.covariate_names, dataset.covariates)]
+    if dataset.responses is not None:
+        sides.append(("response", dataset.response_names, dataset.responses))
+    _write_long_csv(path, CSV_HEADER, (
+        ((sid, name, role), series.times, series.values)
+        for i, sid in enumerate(dataset.subject_ids)
+        for role, names, rows in sides
+        for name, series in zip(names, rows[i])))
 
 
 def write_schema(schema: DatasetSchema, path):

@@ -4,11 +4,13 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from fofr.cli import evaluate_csv, main, write_predictions_csv
-from fofr.core import load_dataset, load_schema
-from fofr.pipeline import evaluate, load_model, predict_pipeline
+from fofr.core import (PREDICTIONS_HEADER, Interval, _read_series, load_dataset, load_schema,
+                       make_grid)
+from fofr.pipeline import PredictionSet, evaluate, load_model, predict_pipeline
 
 
 def run(capsys, *argv):
@@ -262,6 +264,32 @@ class TestPredict:
                        "--schema", str(out_dir / "schema.json"),
                        "--out", str(p))[0] == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestWritePredictionsCsv:
+    def test_quoted_ids_match_csv_writer_and_load_back(self, tmp_path):
+        grid = make_grid(Interval(0.0, 2.0), 7)
+        ids = ("a,b", 'q"t', " lead", "é", "two\nlines")
+        names = ("y,1", ' y"2')
+        values = np.random.default_rng(3).standard_normal((len(ids), len(names), grid.size))
+        predictions = PredictionSet(ids, names, grid, values)
+        path, reference = tmp_path / "pred.csv", tmp_path / "reference.csv"
+        write_predictions_csv(predictions, path)
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(PREDICTIONS_HEADER)
+            for sid, curves in zip(ids, values):
+                for name, curve in zip(names, curves):
+                    writer.writerows([sid, name, repr(t), repr(v)]
+                                     for t, v in zip(grid.points.tolist(), curve.tolist()))
+        assert path.read_bytes() == reference.read_bytes()
+        series = _read_series(path)
+        assert sorted(series) == sorted((sid, name) for sid in ids for name in names)
+        for i, sid in enumerate(ids):
+            for d, name in enumerate(names):
+                times, curve = series[sid, name]
+                assert times.tobytes() == grid.points.tobytes()
+                assert curve.tobytes() == values[i, d].tobytes()
 
 
 class TestEvaluate:

@@ -1,11 +1,20 @@
 """Data model, grid and CSV ingestion tests."""
 
+import csv
+import io
+from array import array
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fofr import core
 from fofr.core import (
+    CSV_HEADER,
+    PREDICTIONS_HEADER,
     DatasetSchema,
     FunctionalDataset,
     Interval,
@@ -20,6 +29,7 @@ from fofr.errors import (
     BadGridSize,
     DomainViolation,
     DuplicateTimestamp,
+    FofrError,
     InsufficientCoverage,
     MalformedRow,
     MissingChannel,
@@ -28,7 +38,6 @@ from fofr.synthgen import dataset_schema, generate, preset_scenario
 
 
 def small_dataset(n=12, seed=0):
-    from dataclasses import replace
     sc = replace(preset_scenario("linear"), n_subjects=n, seed=seed)
     data, _ = generate(sc)
     return data, dataset_schema(sc)
@@ -267,6 +276,217 @@ class TestCsvRejection:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises((MalformedRow, DuplicateTimestamp, DomainViolation)):
             load_dataset(bad, schema)
+
+
+def reference_read_columns(path, headers=(CSV_HEADER,)):
+    """The row-at-a-time reader that ``core._read_columns`` replaced, kept as
+    its oracle: same outputs, errors and messages."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header not in headers:
+                expected = " or ".join(repr(",".join(h)) for h in headers)
+                raise MalformedRow(f"{path}: expected header {expected}, got {header!r}")
+            seen = [{} for _ in header[:-2]]
+            codes = [array("i") for _ in header[:-2]]
+            times, values = array("d"), array("d")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise MalformedRow(f"{path}:{lineno}: expected {len(header)} fields, "
+                                       f"got {len(row)}")
+                try:
+                    times.append(float(row[-2]))
+                    values.append(float(row[-1]))
+                except ValueError as exc:
+                    raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
+                for first, column, name in zip(seen, codes, row):
+                    column.append(first.setdefault(name, len(first)))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise MalformedRow(f"{path}: unreadable CSV ({exc})") from exc
+
+    if not times:
+        raise MalformedRow(f"{path}: no data rows")
+    times, values = np.frombuffer(times), np.frombuffer(values)
+    bad = ~(np.isfinite(times) & np.isfinite(values))
+    if bad.any():
+        raise MalformedRow(f"{path}:{np.argmax(bad) + 2}: non-finite time/value")
+    ids = [(list(first), np.frombuffer(column, dtype=np.int32))
+           for first, column in zip(seen, codes)]
+    return ids, times, values
+
+
+def read_outcome(read, path):
+    """What ``read`` makes of ``path`` in a comparable form: the id names and
+    codes and the bytes of the float columns, or the error's class and text."""
+    try:
+        ids, times, values = read(path, (CSV_HEADER, PREDICTIONS_HEADER))
+    except FofrError as exc:
+        return type(exc), str(exc)
+    return ([(names, codes.dtype.str, codes.tolist()) for names, codes in ids],
+            times.tobytes(), values.tobytes())
+
+
+#: ids that need quoting (comma, quote, line ends), spaces, non-ASCII and
+#: tokens that other columns use
+IDS = ["s0000", "s0001", "x1", "y2", "covariate", "response", "a,b", 'q"t', "two\nlines",
+       "cr\rid", " lead", "tail ", "é", "Ω,ü", "", "1.5"]
+#: text spliced into a written file: quotes, line ends, NULs, separators, numbers
+SPLICES = ['"', "\r", "\0", "\n", "\r\n", ",", "\n\n", "nan", "1e400", "x", " "]
+
+
+@st.composite
+def long_csv_texts(draw):
+    """A long CSV written by ``csv.writer`` (either header, LF or CRLF line
+    ends, with or without a final line end), then edited character-wise
+    after the header."""
+    header = draw(st.sampled_from([CSV_HEADER, PREDICTIONS_HEADER]))
+    field_id = st.sampled_from(IDS) | st.text(max_size=3)
+    number = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+              | st.sampled_from(["-0.0", "1e-320", " 2 ", "1_0", "1e400"]))
+    row = st.tuples(*[field_id] * (len(header) - 2), number, number).map(list)
+    rows = draw(st.lists(row, max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=end).writerows([header] + rows)
+    text = buf.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix(end)
+    body = len(",".join(header)) + len(end)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(min(body, len(text)), len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + draw(st.sampled_from(SPLICES) | st.text(max_size=2)) + text[i:]
+        else:
+            text = text[:i] + text[i + draw(st.integers(1, 40)):]
+    return text
+
+
+#: a chunk of a few characters holds one line, so every line starts a chunk
+CHUNK_SIZES = [1, 3, 40, 1 << 16]
+
+
+class TestColumnReader:
+    """``core._read_columns`` against the row-at-a-time reference reader."""
+
+    @staticmethod
+    def _write(tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return path
+
+    @given(text=long_csv_texts(), chunk=st.sampled_from(CHUNK_SIZES))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_reader(self, tmp_path_factory, text, chunk):
+        path = self._write(tmp_path_factory.mktemp("diff"), text)
+        with mock.patch.object(core, "_CHUNK_CHARS", chunk):
+            assert read_outcome(core._read_columns, path) == \
+                read_outcome(reference_read_columns, path)
+
+    ROW = "s0000,x1,covariate,0.5,1.25\n"
+    HEAD = ",".join(CSV_HEADER) + "\n"
+
+    @pytest.mark.parametrize("text, error", [
+        pytest.param(HEAD + '"a,b",x1,covariate,0.5,1.25\n', None, id="quoted-comma"),
+        pytest.param(HEAD + '"q""t",x1,covariate,0.5,1.25\n', None, id="quoted-quote"),
+        pytest.param(HEAD + ROW + '"two\nlines",x1,covariate,0.5,1.25\n' + ROW, None,
+                     id="quoted-newline"),
+        pytest.param((HEAD + ROW * 3).replace("\n", "\r\n"), None, id="crlf"),
+        pytest.param((HEAD + ROW * 3).replace("\n", "\r"), None, id="cr"),
+        pytest.param(HEAD + ROW + "\n" + ROW, "expected 5 fields, got 0", id="blank-line"),
+        pytest.param(HEAD + ROW * 2 + ROW[:-1], None, id="no-final-newline"),
+        pytest.param(HEAD + ROW + "s0\0,x1,covariate,0.5,1.25\n", None, id="nul"),
+        pytest.param(HEAD + ROW + 's0000,x1,covariate,"0.5,1\n' + ROW * 6000,
+                     "field larger than", id="unclosed-quote"),
+        pytest.param(HEAD + ROW + "s" * 140_000 + ",x1,covariate,0.5,1.25\n",
+                     "field larger than", id="long-unquoted-field"),
+        pytest.param(HEAD + ROW + "s0000,x1,covariate,0.5,abc\n" + '"a,b",x1\n',
+                     ":3: non-numeric", id="bad-number-before-quote"),
+        pytest.param(HEAD + ROW + "s0000,x1\n" + ROW + "s0\0\n",
+                     ":3: expected 5 fields, got 2", id="bad-count-before-nul"),
+        pytest.param(HEAD + '"q",x1,covariate,0.5,1\n' + "s0000,x1\n"
+                     + 's0000,x1,covariate,"0.5,1\n' + ROW * 6000,
+                     ":3: expected 5 fields, got 2", id="bad-count-before-unclosed-quote"),
+        pytest.param(HEAD + ROW + "s0000,x1,covariate,nan,1\n" + "s0000,x1\n",
+                     ":4: expected 5 fields", id="bad-count-after-nan"),
+        pytest.param(HEAD, "no data rows", id="header-only"),
+        pytest.param("", "expected header", id="empty"),
+    ])
+    def test_dialect_cases(self, tmp_path, text, error):
+        path = self._write(tmp_path, text)
+        outcome = read_outcome(core._read_columns, path)
+        assert outcome == read_outcome(reference_read_columns, path)
+        if error is None:
+            assert len(outcome) == 3, outcome
+        else:
+            assert outcome[0] is MalformedRow and error in outcome[1]
+
+    def test_chunk_boundaries_leave_output_unchanged(self, tmp_path, monkeypatch):
+        rows = [f"s{i:04d},x{i % 3},covariate,{i / 7!r},{i * 1.5!r}\n" for i in range(40)]
+        rows[23] = '"subject\n,with ""two"" lines",x1,covariate,0.25,-1.0\n'
+        path = self._write(tmp_path, self.HEAD + "".join(rows).removesuffix("\n"))
+        expected = read_outcome(reference_read_columns, path)
+        assert "subject\n,with \"two\" lines" in expected[0][0][0]
+        assert len(expected[1]) == 40 * 8  # the last line, without "\n", is read
+        # the last size ends the first chunk inside the quoted id
+        for chunk in CHUNK_SIZES + [len("".join(rows[:23])) + 1]:
+            monkeypatch.setattr(core, "_CHUNK_CHARS", chunk)
+            assert read_outcome(core._read_columns, path) == expected, chunk
+
+    def test_bad_line_found_in_any_chunk(self, tmp_path, monkeypatch):
+        rows = [self.ROW] * 30
+        rows[17] = "s0000,x1,covariate,0.5\n"
+        path = self._write(tmp_path, self.HEAD + "".join(rows))
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(core, "_CHUNK_CHARS", chunk)
+            with pytest.raises(MalformedRow, match=":19: expected 5 fields, got 4"):
+                core._read_columns(path)
+
+
+def reference_write_dataset(dataset, path):
+    """The ``csv.writer`` row loop that ``write_dataset`` replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for i, sid in enumerate(dataset.subject_ids):
+            sides = [(dataset.covariate_names, dataset.covariates[i], "covariate")]
+            if dataset.responses is not None:
+                sides.append((dataset.response_names, dataset.responses[i], "response"))
+            for names, row, role in sides:
+                for name, series in zip(names, row):
+                    for t, v in zip(series.times, series.values):
+                        writer.writerow([sid, name, role, repr(float(t)), repr(float(v))])
+
+
+class TestWriter:
+    def test_quoted_ids_match_csv_writer_and_load_back(self, tmp_path):
+        data, schema = small_dataset()
+        quoted = ["a,b", 'q"t', " lead", "é", "two\nlines"]
+        ids = sorted(f"{quoted[i % len(quoted)]}{i}" for i in range(data.n_subjects))
+        data = replace(data, subject_ids=ids, covariate_names=("x,1", 'x"2'),
+                       response_names=(" y1", "ÿ2"))
+        schema = replace(schema, covariates=data.covariate_names,
+                         responses=data.response_names)
+        path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
+        write_dataset(data, path)
+        reference_write_dataset(data, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        loaded = load_dataset(path, schema)
+        assert loaded.subject_ids == data.subject_ids
+        for rows, loaded_rows in ((data.covariates, loaded.covariates),
+                                  (data.responses, loaded.responses)):
+            for row, loaded_row in zip(rows, loaded_rows):
+                for a, b in zip(row, loaded_row):
+                    assert a.times.tobytes() == b.times.tobytes()
+                    assert a.values.tobytes() == b.values.tobytes()
+
+    def test_prediction_only_dataset(self, tmp_path):
+        data, _ = small_dataset()
+        data = replace(data, responses=None)
+        path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
+        write_dataset(data, path)
+        reference_write_dataset(data, reference)
+        assert path.read_bytes() == reference.read_bytes()
 
 
 class TestDatasetValidation:

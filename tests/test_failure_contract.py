@@ -22,8 +22,9 @@ from fofr.cli import main
 #: small values only: a mutation must not ask for a huge grid or dataset
 VALUES = [None, True, -1, 0, 1, 3, 0.5, 2.5, float("nan"), float("inf"), "", "x", "plugin",
           [], [1, 2], {}, {"a": 1}]
+#: garbled fields; quotes, carriage returns and NULs send the file to csv.reader
 FIELDS = ["", "x", "nan", "inf", "-1e400", "0", "-0.5", "2", "s0001", "x1", "y2",
-          "covariate", "response", "a,b", '"']
+          "covariate", "response", "a,b", '"', "\r", "\0", '"s0001"', 'a"b']
 
 
 def fuzz(max_examples):
