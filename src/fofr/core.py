@@ -495,15 +495,16 @@ def _write_long_csv(path, header, blocks):
     """Write a long CSV: ``header``, then for each ``(ids, times, values)``
     block one row ``*ids, t, v`` per observation.
 
-    The id fields of a block are quoted once, by ``csv.writer``'s rules; the
-    numbers are written by ``repr``, an exact float round trip.
+    The id fields of a block are quoted once, by ``csv.writer``'s rules with
+    a ``\r\n`` terminator, so that an id holding ``\r`` or ``\n`` is quoted;
+    the numbers are written by ``repr``, an exact float round trip.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for ids, times, values in blocks:
             record = io.StringIO()
-            csv.writer(record, lineterminator="\n").writerow(ids)
-            prefix = record.getvalue()[:-1]
+            csv.writer(record, lineterminator="\r\n").writerow(ids)
+            prefix = record.getvalue()[:-2]
             fh.write("".join([f"{prefix},{t!r},{v!r}\n"
                               for t, v in zip(times.tolist(), values.tolist())]))
 

@@ -100,6 +100,24 @@ def _fix_signs(functions: np.ndarray, companions: list) -> None:
                 arr[p] = -arr[p]
 
 
+def _leading_eigen(A: np.ndarray, rule: TruncationRule, failed: str, empty: str):
+    """Eigenpairs of the symmetric ``A`` in descending order, down to
+    EIGENVALUE_FLOOR_REL of the largest, truncated by ``rule``; ``failed`` and
+    ``empty`` are the messages of EigenFailure and EmptySpectrum."""
+    try:
+        lam, vec = scipy.linalg.eigh(A)
+    except scipy.linalg.LinAlgError as exc:
+        raise EigenFailure(failed) from exc
+    lam = lam[::-1]
+    vec = vec[:, ::-1]
+    if lam[0] <= 0:
+        raise EmptySpectrum(empty)
+    keep = lam >= EIGENVALUE_FLOOR_REL * lam[0]
+    lam, vec = lam[keep], vec[:, keep]
+    p = select_truncation(lam, rule)
+    return lam[:p], vec[:, :p]
+
+
 def univariate_fpca(surface: CovarianceSurface, rule: TruncationRule,
                     channel: str = "") -> UnivariateEigenSystem:
     """Eigendecompose the quadrature-weighted covariance operator of one channel."""
@@ -108,21 +126,10 @@ def univariate_fpca(surface: CovarianceSurface, rule: TruncationRule,
     sw = np.sqrt(w)
     A = sw[:, None] * surface.values * sw[None, :]
     A = 0.5 * (A + A.T)
-    try:
-        lam, vec = scipy.linalg.eigh(A)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenFailure(f"channel {channel!r}: eigendecomposition failed") from exc
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    if lam[0] <= 0:
-        raise EmptySpectrum(f"channel {channel!r}: covariance operator has no positive eigenvalues")
-    floor = EIGENVALUE_FLOOR_REL * lam[0]
-    keep = lam >= floor
-    lam = lam[keep]
-    vec = vec[:, keep]
-    p = select_truncation(lam, rule)
-    lam = lam[:p]
-    funcs = (vec[:, :p] / sw[:, None]).T
+    lam, vec = _leading_eigen(
+        A, rule, f"channel {channel!r}: eigendecomposition failed",
+        f"channel {channel!r}: covariance operator has no positive eigenvalues")
+    funcs = (vec / sw[:, None]).T
     _fix_signs(funcs, [])
     return UnivariateEigenSystem(grid, lam, funcs, channel)
 
@@ -162,21 +169,11 @@ def multivariate_fpca(univariate_systems, xi: np.ndarray,
     for s in systems:
         if s.grid.size != grid.size or not np.array_equal(s.grid.points, grid.points):
             raise BlockMismatch("univariate systems live on different grids")
-    try:
-        lam, vec = scipy.linalg.eigh(0.5 * (xi + xi.T))
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenFailure("eigendecomposition of the score covariance failed") from exc
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    if lam[0] <= 0:
-        raise EmptySpectrum("score covariance has no positive eigenvalues")
-    floor = EIGENVALUE_FLOOR_REL * lam[0]
-    keep = lam >= floor
-    lam = lam[keep]
-    vec = vec[:, keep]
-    p = select_truncation(lam, rule)
-    lam = lam[:p]
-    cvecs = vec[:, :p].T.copy()  # (P, P_plus), unit Euclidean norm rows
+    lam, vec = _leading_eigen(0.5 * (xi + xi.T), rule,
+                              "eigendecomposition of the score covariance failed",
+                              "score covariance has no positive eigenvalues")
+    p = len(lam)
+    cvecs = vec.T.copy()  # (P, P_plus), unit Euclidean norm rows
 
     d = len(systems)
     g = grid.size

@@ -23,7 +23,6 @@ from fofr.core import (
     EvalGrid,
     FunctionalDataset,
     Interval,
-    ObservationSeries,
     _first_outside,
     _read_json,
     make_grid,
@@ -106,6 +105,13 @@ class PipelineConfig:
             raise ValueError(f"unknown activation {self.hidden_activation!r}")
         if not (0 <= self.ridge < np.inf and self.seed >= 0):
             raise ValueError("ridge must be finite and non-negative, seed non-negative")
+        # the network trains with ``seed``, and validates only with both knobs
+        if self.train.seed not in (0, self.seed):
+            raise BadConfig(f"train.seed {self.train.seed} is not used: "
+                            f"the network trains with seed {self.seed}")
+        if (self.train.val_fraction > 0) != (self.train.early_stop_patience is not None):
+            raise BadConfig("train.val_fraction and train.early_stop_patience "
+                            "take effect only together")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden_widths": list(self.hidden_widths)}
@@ -188,9 +194,6 @@ class PredictionSet:
     channel_names: tuple
     grid: EvalGrid
     values: np.ndarray  # (N, D, G), original scale
-
-    def series(self, i: int, d: int) -> ObservationSeries:
-        return ObservationSeries(self.grid.points, self.values[i, d])
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Local-linear kernel estimation of mean functions and covariance surfaces.
 
-The mean smoother fits a kernel-weighted line through the pooled
-(time, value) pairs of all subjects at every grid point; observations
-sharing the exact same time are collapsed into sufficient statistics first.
-The covariance smoother fits a kernel-weighted plane through the pooled raw
-cross products (off-diagonal pairs only, which removes measurement-error
-bias from the diagonal).  The product kernel factorizes over the two times
-and every raw product stays within one subject, so each moment of the plane
-is a sum over subjects of products of per-subject kernel sums, minus the
-diagonal (same observation twice) term, which is collected by time.  No
-pair is ever formed: the cost follows subjects, distinct times and the grid.
+Both smoothers tabulate the kernel once per distinct time (site) and grid
+point and take every moment of their local fits as products of that table
+with per-site or per-subject sums.  The mean smoother fits a line through
+the pooled (time, value) pairs, from per-site counts and value sums.  The
+covariance smoother fits a plane through the pooled off-diagonal raw cross
+products, which removes measurement-error bias from the diagonal.  Its
+kernel factorizes over the two times and every product stays within one
+subject, so each moment is a sum over subjects of products of per-subject
+kernel sums, minus the diagonal (same observation twice) term collected by
+site.  No pair is ever formed: the cost follows subjects, sites and the grid.
 """
 
 from __future__ import annotations
@@ -35,10 +35,14 @@ KERNEL_FAMILIES = ("gaussian", "epanechnikov")
 #: relative weight-mass floor below which a window counts as degenerate
 MASS_FLOOR = 1e-12
 
-#: covariance kernel weights below this are zeroed: their products underflow
-#: to subnormal numbers, which slow the matrix products several-fold, and
-#: they move a window that passes MASS_FLOOR by under 1e-88 relative
+#: kernel weights below this are zeroed: their products underflow to
+#: subnormal numbers, which slow the matrix products several-fold, and they
+#: move a window that passes MASS_FLOOR by under 1e-88 relative
 WEIGHT_FLUSH = 1e-100
+
+#: bandwidth cross-validation: subject folds and log-spaced candidates
+N_FOLDS = 5
+N_CANDIDATES = 10
 
 #: sentinel bandwidth values
 AUTO = "auto"      # subject-level cross-validated selection
@@ -149,15 +153,13 @@ def _require_float(bw, name):
     return float(bw)
 
 
-def _collapse_sites(times: np.ndarray, values: np.ndarray):
-    """Collapse exact-duplicate times into (site, count, value-sum) triples."""
-    order = np.argsort(times, kind="stable")
-    t = times[order]
-    v = values[order]
-    sites, start = np.unique(t, return_index=True)
-    counts = np.diff(np.append(start, len(t))).astype(float)
-    sums = np.add.reduceat(v, start)
-    return sites, counts, sums
+def _kernel_table(kernel: KernelSpec, h: float, sites: np.ndarray, grid: EvalGrid):
+    """(sites, G) tables, d = t - g: W0 = K(d / h), W1 = W0 d, W2 = W1 d."""
+    d = sites[:, None] - grid.points[None, :]
+    w0 = kernel.weights(d / h)
+    w0[w0 < WEIGHT_FLUSH] = 0.0
+    w1 = w0 * d
+    return w0, w1, w1 * d
 
 
 def smooth_mean(series_set, kernel: KernelSpec, grid: EvalGrid) -> MeanFunction:
@@ -167,30 +169,24 @@ def smooth_mean(series_set, kernel: KernelSpec, grid: EvalGrid) -> MeanFunction:
     if len(times) < 2:
         raise DegenerateWindow("mean smoothing needs at least 2 pooled observations")
     h = _require_float(kernel.bandwidth_mean, "bandwidth_mean")
-    sites, counts, sums = _collapse_sites(times, values)
-    total = float(np.sum(counts))
+    sites, site_of = np.unique(times, return_inverse=True)
+    w0, w1, w2 = _kernel_table(kernel, h, sites, grid)
 
-    out = np.empty(grid.size)
-    for g, t0 in enumerate(grid.points):
-        d = sites - t0
-        w = kernel.weights(d / h) * counts
-        mass = float(np.sum(w))
-        if not mass > MASS_FLOOR * total:
-            raise DegenerateWindow(
-                f"effective weight mass vanished at t={t0:.6g} (bandwidth {h:.4g} too small)")
-        # centered design [1, t - t0]; intercept is the estimate at t0
-        s00 = mass
-        s01 = float(np.dot(w, d))
-        s11 = float(np.dot(w, d * d))
-        # per-site value sums carry the y-dependent terms
-        wy = kernel.weights(d / h) * sums
-        r0 = float(np.sum(wy))
-        r1 = float(np.dot(wy, d))
-        det = s00 * s11 - s01 * s01
-        if det <= 0 or not np.isfinite(det):
-            raise DegenerateWindow(
-                f"singular local fit at t={t0:.6g} (bandwidth {h:.4g} too small)")
-        out[g] = (s11 * r0 - s01 * r1) / det
+    # moments of the line on [1, t - g]: per-site counts and value sums
+    # times the kernel tables
+    counts = np.bincount(site_of).astype(float)
+    sums = np.stack([counts, np.bincount(site_of, weights=values)])
+    (s00, r0), (s01, r1), s11 = sums @ w0, sums @ w1, counts @ w2
+    det = s00 * s11 - s01 * s01
+    has_mass = s00 > MASS_FLOOR * len(times)
+    bad = ~(has_mass & (det > 0) & np.isfinite(det))
+    if np.any(bad):
+        g = int(np.argmax(bad))
+        problem = "singular local fit" if has_mass[g] else "effective weight mass vanished"
+        raise DegenerateWindow(
+            f"{problem} at t={grid.points[g]:.6g} (bandwidth {h:.4g} too small)")
+    # the intercept is the estimate at g
+    out = (s11 * r0 - s01 * r1) / det
     if not np.all(np.isfinite(out)):
         raise NonFiniteFit("mean smoother produced non-finite values")
     return MeanFunction(grid, out)
@@ -230,12 +226,8 @@ def smooth_covariance(series_set, mean: MeanFunction, kernel: KernelSpec,
     sites, site_of = np.unique(times, return_inverse=True)
     G = grid.size
 
-    # kernel tables per site and grid point, d = t - g: W0 = K(d / h), W1 = W0 d, W2 = W1 d
-    d = sites[:, None] - grid.points[None, :]
-    w0 = kernel.weights(d / h)
-    w0[w0 < WEIGHT_FLUSH] = 0.0
-    w1 = w0 * d
-    W = np.concatenate([w0, w1, w1 * d], axis=1)
+    w0, w1, w2 = _kernel_table(kernel, h, sites, grid)
+    W = np.concatenate([w0, w1, w2], axis=1)
 
     # per-subject kernel sums of counts and residuals; their outer products
     # cover every within-subject pair, the diagonal j = j' included
@@ -319,7 +311,7 @@ def destandardize(series: ObservationSeries, params: StandardizationParams) -> O
     return ObservationSeries(series.times, series.values * np.sqrt(v) + mu)
 
 
-def bandwidth_candidates(series_set, grid: EvalGrid, n: int = 10) -> np.ndarray:
+def bandwidth_candidates(series_set, grid: EvalGrid) -> np.ndarray:
     pooled = _pooled_times(series_set)
     gaps = np.diff(pooled)
     length = grid.interval.length
@@ -327,12 +319,53 @@ def bandwidth_candidates(series_set, grid: EvalGrid, n: int = 10) -> np.ndarray:
     hi = 0.5 * length
     if lo >= hi:
         lo = hi / 10.0
-    return np.geomspace(lo, hi, n)
+    return np.geomspace(lo, hi, N_CANDIDATES)
 
 
-def select_bandwidth(series_set, family: str, grid: EvalGrid, target: str,
-                     n_folds: int = 5, n_candidates: int = 10) -> float:
-    """5-fold subject-level CV over a log grid of bandwidth candidates.
+def _cv_errors(series_set, family: str, grid: EvalGrid, target: str):
+    """Bandwidth candidates and their subject-level CV errors (inf where a
+    fold's fit degenerates)."""
+    series_set = list(series_set)
+    candidates = bandwidth_candidates(series_set, grid)
+    n = min(N_FOLDS, len(series_set))  # fold f tests subjects f, f + n, ...
+    splits = [([s for i, s in enumerate(series_set) if i % n != f], series_set[f::n])
+              for f in range(n) if n > 1]  # one subject leaves no training set
+
+    # the validation data of a fold does not depend on the bandwidth
+    if target == "mean":
+        held_out = [(np.concatenate([s.times for s in test]),
+                     np.concatenate([s.values for s in test])) for _, test in splits]
+    else:
+        mid = KernelSpec(family, bandwidth_mean=float(np.median(candidates)))
+        base_mean = smooth_mean(series_set, mid, grid)
+        try:
+            held_out = [_raw_pairs(test, base_mean) for _, test in splits]
+        except NoPairs:  # a fold without validation pairs scores no candidate
+            held_out = []
+
+    errors = np.full(len(candidates), np.inf)
+    for k, h in enumerate(candidates):
+        sse, cnt = 0.0, 0
+        try:
+            for (train, _), (*at, y) in zip(splits, held_out):
+                if target == "mean":
+                    fit = smooth_mean(train, KernelSpec(family, bandwidth_mean=float(h)), grid)
+                    resid = y - fit.at(*at)
+                else:
+                    spec = KernelSpec(family, bandwidth_cov=float(h))
+                    fit = smooth_covariance(train, base_mean, spec, grid)
+                    resid = y - _interp2(grid, fit.values, *at)
+                sse += float(np.dot(resid, resid))
+                cnt += len(y)
+        except (DegenerateWindow, NonFiniteFit, NoPairs):
+            continue
+        if cnt:
+            errors[k] = sse / cnt
+    return candidates, errors
+
+
+def select_bandwidth(series_set, family: str, grid: EvalGrid, target: str) -> float:
+    """5-fold subject-level CV over a log grid of 10 bandwidth candidates.
 
     Folds split whole subjects so within-subject correlation never leaks
     across the train/validation boundary.  Ties (within 1e-12 relative)
@@ -340,43 +373,7 @@ def select_bandwidth(series_set, family: str, grid: EvalGrid, target: str,
     """
     if target not in ("mean", "covariance"):
         raise ValueError(f"unknown target {target!r}")
-    series_set = list(series_set)
-    n_sub = len(series_set)
-    candidates = bandwidth_candidates(series_set, grid, n_candidates)
-    folds = np.arange(n_sub) % min(n_folds, n_sub)
-
-    base_mean = None
-    if target == "covariance":
-        mid = KernelSpec(family, bandwidth_mean=float(np.median(candidates)))
-        base_mean = smooth_mean(series_set, mid, grid)
-
-    errors = np.full(len(candidates), np.inf)
-    for k, h in enumerate(candidates):
-        sse, cnt = 0.0, 0
-        try:
-            for f in range(int(folds.max()) + 1):
-                train = [s for s, ff in zip(series_set, folds) if ff != f]
-                test = [s for s, ff in zip(series_set, folds) if ff == f]
-                if not train or not test:
-                    continue
-                if target == "mean":
-                    fit = smooth_mean(train, KernelSpec(family, bandwidth_mean=float(h)), grid)
-                    for s in test:
-                        resid = s.values - fit.at(s.times)
-                        sse += float(np.dot(resid, resid))
-                        cnt += len(s)
-                else:
-                    spec = KernelSpec(family, bandwidth_cov=float(h))
-                    fit = smooth_covariance(train, base_mean, spec, grid)
-                    t1, t2, uu = _raw_pairs(test, base_mean)
-                    pred = _interp2(grid, fit.values, t1, t2)
-                    resid = uu - pred
-                    sse += float(np.dot(resid, resid))
-                    cnt += len(uu)
-        except (DegenerateWindow, NonFiniteFit, NoPairs):
-            continue
-        if cnt:
-            errors[k] = sse / cnt
+    candidates, errors = _cv_errors(series_set, family, grid, target)
     finite = np.isfinite(errors)
     if not np.any(finite):
         raise AllCandidatesDegenerate(

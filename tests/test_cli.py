@@ -134,6 +134,9 @@ class TestTrain:
         '{"pipeline": {"train": {"adam_beta2": 1.5}}}',
         '{"pipeline": {"train": {"adam_eps": -1}}}',
         '{"pipeline": {"train": {"early_stop_patience": 0}}}',
+        '{"pipeline": {"train": {"seed": 99}}}',
+        '{"pipeline": {"train": {"val_fraction": 0.2}}}',
+        '{"pipeline": {"train": {"early_stop_patience": 5}}}',
         '5',
         '{broken',
     ])

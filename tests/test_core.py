@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 from array import array
 from dataclasses import replace
 from unittest import mock
@@ -461,7 +462,7 @@ def reference_write_dataset(dataset, path):
 class TestWriter:
     def test_quoted_ids_match_csv_writer_and_load_back(self, tmp_path):
         data, schema = small_dataset()
-        quoted = ["a,b", 'q"t', " lead", "é", "two\nlines"]
+        quoted = ["a,b", 'q"t', " lead", "é", "two\nlines", "cr\rid"]
         ids = sorted(f"{quoted[i % len(quoted)]}{i}" for i in range(data.n_subjects))
         data = replace(data, subject_ids=ids, covariate_names=("x,1", 'x"2'),
                        response_names=(" y1", "ÿ2"))
@@ -470,7 +471,11 @@ class TestWriter:
         path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
         write_dataset(data, path)
         reference_write_dataset(data, reference)
-        assert path.read_bytes() == reference.read_bytes()
+        # the row loop left an id holding a lone \r unquoted, and then the file
+        # did not load back
+        expected = re.sub(rb"^(cr\rid\d+),", rb'"\1",', reference.read_bytes(), flags=re.M)
+        assert expected != reference.read_bytes()
+        assert path.read_bytes() == expected
         loaded = load_dataset(path, schema)
         assert loaded.subject_ids == data.subject_ids
         for rows, loaded_rows in ((data.covariates, loaded.covariates),

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fofr.errors import DivergenceDetected, ShapeMismatch
+from fofr.errors import BadConfig, DivergenceDetected, ShapeMismatch
+from fofr.pipeline import PipelineConfig
 from fofr.regression import (
     DIVERGENCE_RATIO,
     FflmParams,
@@ -305,6 +306,14 @@ class TestTraining:
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
         TrainConfig(momentum=0.0, adam_beta1=0.0, adam_beta2=0.0, early_stop_patience=1)
+        # a pipeline trains with its own seed, and validates only with both knobs
+        for train, key in ((TrainConfig(seed=99), "train.seed"),
+                           (TrainConfig(val_fraction=0.2), "train.val_fraction"),
+                           (TrainConfig(early_stop_patience=5), "train.early_stop_patience")):
+            with pytest.raises(BadConfig, match=key):
+                PipelineConfig(train=train)
+        PipelineConfig(train=TrainConfig(seed=4), seed=4)
+        PipelineConfig(train=TrainConfig(val_fraction=0.2, early_stop_patience=5))
 
 
 class TestFflm:

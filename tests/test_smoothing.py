@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fofr.core import Interval, ObservationSeries, make_grid
-from fofr.errors import DegenerateWindow, NoPairs
+from fofr.errors import AllCandidatesDegenerate, DegenerateWindow, NoPairs, NonFiniteFit
 from fofr.smoothing import (
+    MASS_FLOOR,
     CovarianceSurface,
     KernelSpec,
     MeanFunction,
     StandardizationParams,
+    _cv_errors,
+    _interp2,
     _raw_pairs,
     bandwidth_candidates,
     build_standardization,
@@ -68,6 +71,72 @@ def wls_cov_oracle(series_set, mean, kernel, grid):
     return 0.5 * (out + out.T)
 
 
+def loop_mean_reference(series_set, kernel, grid):
+    """The per-grid-point loop that the tabulated mean smoother replaced."""
+    times = np.concatenate([s.times for s in series_set])
+    values = np.concatenate([s.values for s in series_set])
+    h = kernel.bandwidth_mean
+    order = np.argsort(times, kind="stable")
+    sites, start = np.unique(times[order], return_index=True)
+    counts = np.diff(np.append(start, len(times))).astype(float)
+    sums = np.add.reduceat(values[order], start)
+    total = float(np.sum(counts))
+    out = np.empty(grid.size)
+    for g, t0 in enumerate(grid.points):
+        d = sites - t0
+        w = kernel.weights(d / h) * counts
+        mass = float(np.sum(w))
+        if not mass > MASS_FLOOR * total:
+            raise DegenerateWindow(
+                f"effective weight mass vanished at t={t0:.6g} (bandwidth {h:.4g} too small)")
+        s00, s01, s11 = mass, float(np.dot(w, d)), float(np.dot(w, d * d))
+        wy = kernel.weights(d / h) * sums
+        r0, r1 = float(np.sum(wy)), float(np.dot(wy, d))
+        det = s00 * s11 - s01 * s01
+        if det <= 0 or not np.isfinite(det):
+            raise DegenerateWindow(
+                f"singular local fit at t={t0:.6g} (bandwidth {h:.4g} too small)")
+        out[g] = (s11 * r0 - s01 * r1) / det
+    return out
+
+
+def loop_cv_reference(series_set, family, grid, target):
+    """The candidate-by-fold loop that bandwidth CV replaced: it splits the
+    folds and forms the validation pairs anew for every candidate."""
+    candidates = bandwidth_candidates(series_set, grid)
+    folds = np.arange(len(series_set)) % min(5, len(series_set))
+    if target == "covariance":
+        mid = KernelSpec(family, bandwidth_mean=float(np.median(candidates)))
+        base_mean = smooth_mean(series_set, mid, grid)
+    errors = np.full(len(candidates), np.inf)
+    for k, h in enumerate(candidates):
+        sse, cnt = 0.0, 0
+        try:
+            for f in range(int(folds.max()) + 1):
+                train = [s for s, ff in zip(series_set, folds) if ff != f]
+                test = [s for s, ff in zip(series_set, folds) if ff == f]
+                if not train or not test:
+                    continue
+                if target == "mean":
+                    fit = smooth_mean(train, KernelSpec(family, bandwidth_mean=float(h)), grid)
+                    for s in test:
+                        resid = s.values - fit.at(s.times)
+                        sse += float(np.dot(resid, resid))
+                        cnt += len(s)
+                else:
+                    spec = KernelSpec(family, bandwidth_cov=float(h))
+                    fit = smooth_covariance(train, base_mean, spec, grid)
+                    t1, t2, uu = _raw_pairs(test, base_mean)
+                    resid = uu - _interp2(grid, fit.values, t1, t2)
+                    sse += float(np.dot(resid, resid))
+                    cnt += len(uu)
+        except (DegenerateWindow, NonFiniteFit, NoPairs):
+            continue
+        if cnt:
+            errors[k] = sse / cnt
+    return candidates, errors
+
+
 def assert_matches_cov_oracle(series_set, kernel, grid, rtol=1e-8, atol=1e-10):
     mean = smooth_mean(series_set, kernel, grid)
     fit = smooth_covariance(series_set, mean, kernel, grid)
@@ -102,6 +171,53 @@ class TestMeanSmoother:
         grid = make_grid(Interval(0, 1), 21)
         with pytest.raises(DegenerateWindow):
             smooth_mean(series, KernelSpec("epanechnikov", bandwidth_mean=1e-6), grid)
+
+    @pytest.mark.parametrize("family,h", [("gaussian", 0.05), ("gaussian", 0.2),
+                                          ("epanechnikov", 0.15), ("epanechnikov", 0.4)])
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_matches_loop_reference_with_duplicate_times(self, family, h, seed):
+        rng = np.random.default_rng(seed)
+        series = random_series_set(rng, n_subjects=12)
+        # shared designs and times on a coarse lattice repeat sites
+        series += [ObservationSeries(s.times, rng.standard_normal(len(s))) for s in series[:3]]
+        lattice = np.unique(np.round(rng.uniform(0, 1, 30), 2))
+        series.append(ObservationSeries(lattice, rng.standard_normal(len(lattice))))
+        grid = make_grid(Interval(0, 1), 31)
+        kernel = KernelSpec(family, bandwidth_mean=h)
+        ref = loop_mean_reference(series, kernel, grid)
+        fit = smooth_mean(series, kernel, grid)
+        np.testing.assert_allclose(fit.values, ref, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_shared_grid_at_plugin_bandwidth_matches_loop_reference(self):
+        rng = np.random.default_rng(19)
+        times = np.linspace(0.0, 1.0, 41)
+        series = [ObservationSeries(times, rng.standard_normal(41)) for _ in range(10)]
+        grid = make_grid(Interval(0, 1), 101)
+        kernel = KernelSpec("gaussian", bandwidth_mean=plugin_bandwidth(series, grid))
+        ref = loop_mean_reference(series, kernel, grid)
+        fit = smooth_mean(series, kernel, grid)
+        np.testing.assert_allclose(fit.values, ref, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_degenerate_windows_named_like_loop_reference(self):
+        # the first failing grid point is named, the mass check first there
+        rng = np.random.default_rng(7)
+        tiny = (random_series_set(rng), make_grid(Interval(0, 1), 21), 1e-6)
+        # a window on the left half holds one site, on its grid point: mass but
+        # no slope; a window on the right half holds no site
+        grid = make_grid(Interval(0, 1), 11)
+        on_grid = ([ObservationSeries(grid.points[:6], rng.standard_normal(6))
+                    for _ in range(3)], grid, 0.05)
+        for series, grid, h, problem in (tiny + ("weight mass vanished",),
+                                         on_grid + ("singular local fit",)):
+            kernel = KernelSpec("epanechnikov", bandwidth_mean=h)
+            with pytest.raises(DegenerateWindow) as ref:
+                loop_mean_reference(series, kernel, grid)
+            with pytest.raises(DegenerateWindow) as new:
+                smooth_mean(series, kernel, grid)
+            assert type(new.value) is type(ref.value)
+            assert str(new.value) == str(ref.value) and problem in str(new.value)
 
 
 class TestCovarianceSmoother:
@@ -263,6 +379,36 @@ class TestBandwidths:
         b = select_bandwidth(series, "gaussian", grid, "covariance")
         assert a in bandwidth_candidates(series, grid)
         assert a == b
+
+    @pytest.mark.parametrize("target", ["mean", "covariance"])
+    @pytest.mark.parametrize("seed", [71, 72])
+    def test_cv_matches_loop_reference(self, target, seed):
+        rng = np.random.default_rng(seed)
+        series = random_series_set(rng, n_subjects=11, m_lo=4, m_hi=10,
+                                   fn=lambda t: np.sin(2 * np.pi * t) + rng.standard_normal(len(t)))
+        grid = make_grid(Interval(0, 1), 15)
+        ref_candidates, ref_errors = loop_cv_reference(series, "gaussian", grid, target)
+        candidates, errors = _cv_errors(series, "gaussian", grid, target)
+        np.testing.assert_array_equal(candidates, ref_candidates)
+        assert np.any(np.isfinite(ref_errors))
+        np.testing.assert_array_equal(np.isfinite(errors), np.isfinite(ref_errors))
+        finite = np.isfinite(ref_errors)
+        np.testing.assert_allclose(errors[finite], ref_errors[finite], rtol=1e-9)
+        best = np.min(ref_errors[finite])
+        pick = np.flatnonzero(ref_errors <= best + 1e-12 * (1.0 + best))[0]
+        assert select_bandwidth(series, "gaussian", grid, target) == ref_candidates[pick]
+
+    def test_cv_fold_without_validation_pairs(self):
+        # the fifth fold tests one single-observation subject, so no
+        # covariance candidate can be scored
+        rng = np.random.default_rng(73)
+        series = random_series_set(rng, n_subjects=4)
+        series.append(ObservationSeries([0.5], [1.0]))
+        grid = make_grid(Interval(0, 1), 11)
+        _, ref_errors = loop_cv_reference(series, "gaussian", grid, "covariance")
+        assert not np.any(np.isfinite(ref_errors))
+        with pytest.raises(AllCandidatesDegenerate):
+            select_bandwidth(series, "gaussian", grid, "covariance")
 
     def test_kernel_spec_validation(self):
         with pytest.raises(ValueError):
