@@ -29,9 +29,9 @@ from fofr.errors import (
 CSV_HEADER = ["subject_id", "variable_id", "role", "time", "value"]
 PREDICTIONS_HEADER = ["subject_id", "variable_id", "time", "value"]
 
-#: minimum number of distinct pooled observation times per channel
+#: minimum number of distinct pooled observation times per training channel
 MIN_POOLED_TIMES = 10
-#: pooled times must span at least this share of the declared interval
+#: pooled training times must span at least this share of the declared interval
 MIN_POOLED_SPAN = 0.9
 
 
@@ -129,6 +129,8 @@ class FunctionalDataset:
 
     ``covariates[i][r]`` is the ObservationSeries of covariate channel r for
     subject i; ``responses`` is analogous, or None for prediction-only data.
+    Any non-empty dataset may be scored; training needs more (see
+    ``_check_coverage``).
     """
 
     covariate_domain: Interval
@@ -170,8 +172,8 @@ class FunctionalDataset:
         return [row[d] for row in self.responses]
 
     def _validate(self):
-        if self.n_subjects < 2:
-            raise InsufficientCoverage(f"need at least 2 subjects, got {self.n_subjects}")
+        if self.n_subjects < 1:
+            raise InsufficientCoverage("need at least 1 subject, got 0")
         if self.n_covariates < 1 or self.n_responses < 1:
             raise MissingChannel("need at least one covariate and one response channel")
         sides = [("covariate", self.covariate_names, self.covariate_domain, self.covariates)]
@@ -189,7 +191,6 @@ class FunctionalDataset:
                 if i is not None:
                     raise DomainViolation(f"subject {self.subject_ids[i]!r} channel {name!r}: "
                                           f"time outside {side} domain")
-                _check_coverage(series_set, domain, name)
 
 
 def _first_outside(series_set, domain: Interval) -> int | None:
@@ -201,6 +202,8 @@ def _first_outside(series_set, domain: Interval) -> int | None:
 
 
 def _check_coverage(series_set, domain: Interval, name: str):
+    """Raise unless the pooled times of a channel are enough to smooth it:
+    at least MIN_POOLED_TIMES distinct ones spanning MIN_POOLED_SPAN of ``domain``."""
     pooled = np.unique(np.concatenate([s.times for s in series_set]))
     if len(pooled) < MIN_POOLED_TIMES:
         raise InsufficientCoverage(

@@ -23,6 +23,7 @@ from fofr.core import (
     EvalGrid,
     FunctionalDataset,
     Interval,
+    _check_coverage,
     _first_outside,
     _read_json,
     make_grid,
@@ -34,6 +35,7 @@ from fofr.errors import (
     DomainViolation,
     EmptySpectrum,
     FofrError,
+    InsufficientCoverage,
     NoOverlap,
     PipelineError,
     TooSparse,
@@ -329,6 +331,13 @@ def train_pipeline(data: FunctionalDataset, config: PipelineConfig):
 
     cov_channels = [data.covariate_channel(r) for r in range(data.n_covariates)]
     res_channels = [data.response_channel(d) for d in range(data.n_responses)]
+    # the smoothers need several subjects and pooled times covering each domain
+    if data.n_subjects < 2:
+        raise InsufficientCoverage(f"need at least 2 subjects, got {data.n_subjects}")
+    for channels, names, domain in ((cov_channels, data.covariate_names, data.covariate_domain),
+                                    (res_channels, data.response_names, data.response_domain)):
+        for series_set, name in zip(channels, names):
+            _check_coverage(series_set, domain, name)
 
     cov_side, inputs = _fit_side(cov_channels, data.covariate_names, data.covariate_domain,
                                  config.grid_size_s, config.kernel_x, config.truncation_x,
@@ -468,16 +477,10 @@ def split_subjects(dataset: FunctionalDataset, test_fraction: float, seed: int):
     train_idx = np.sort(perm[n_test:])
 
     def subset(idx):
-        return FunctionalDataset(
-            covariate_domain=dataset.covariate_domain,
-            response_domain=dataset.response_domain,
-            covariate_names=dataset.covariate_names,
-            response_names=dataset.response_names,
-            subject_ids=[dataset.subject_ids[i] for i in idx],
-            covariates=[dataset.covariates[i] for i in idx],
-            responses=None if dataset.responses is None
-            else [dataset.responses[i] for i in idx],
-        )
+        return replace(dataset, subject_ids=[dataset.subject_ids[i] for i in idx],
+                       covariates=[dataset.covariates[i] for i in idx],
+                       responses=None if dataset.responses is None
+                       else [dataset.responses[i] for i in idx])
 
     return subset(train_idx), subset(test_idx)
 

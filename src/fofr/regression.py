@@ -212,44 +212,36 @@ def _layer_views(flat: np.ndarray, dims: list):
     return weights, biases
 
 
-def _fused_update(config: TrainConfig, theta: np.ndarray):
+def _in_place_update(config: TrainConfig, theta: np.ndarray):
     """The in-place optimizer step ``update(grad, step)`` on the flat vector
-    ``theta``, with its state and scratch allocated once.  Every element runs
-    the operations of ``theta -= lr * g`` (sgd), ``m = mu * m + g;
+    ``theta``, with its state allocated once.  Every element runs the
+    operations of ``theta -= lr * g`` (sgd), ``m = mu * m + g;
     theta -= lr * m`` (sgd_momentum) or Kingma & Ba's Adam, in that order."""
     lr = config.learning_rate
-    m, v, tmp, tmp2 = (np.zeros_like(theta) for _ in range(4))
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
 
     if config.optimizer == "sgd":
         def update(g, step):
-            np.multiply(g, lr, out=tmp)
-            np.subtract(theta, tmp, out=theta)
+            nonlocal theta
+            theta -= g * lr
     elif config.optimizer == "sgd_momentum":
         mu = config.momentum
 
         def update(g, step):
-            np.multiply(m, mu, out=m)
-            np.add(m, g, out=m)
-            np.multiply(m, lr, out=tmp)
-            np.subtract(theta, tmp, out=theta)
+            nonlocal theta, m
+            m *= mu
+            m += g
+            theta -= m * lr
     else:
         b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
 
         def update(g, step):
-            np.multiply(m, b1, out=m)  # m = b1 * m + (1 - b1) * g
-            np.multiply(g, 1 - b1, out=tmp)
-            np.add(m, tmp, out=m)
-            np.multiply(v, b2, out=v)  # v = b2 * v + ((1 - b2) * g) * g
-            np.multiply(g, 1 - b2, out=tmp)
-            np.multiply(tmp, g, out=tmp)
-            np.add(v, tmp, out=v)
-            np.divide(m, 1 - b1 ** step, out=tmp)  # theta -= (lr * m_hat) / (sqrt(v_hat) + eps)
-            np.multiply(tmp, lr, out=tmp)
-            np.divide(v, 1 - b2 ** step, out=tmp2)
-            np.sqrt(tmp2, out=tmp2)
-            np.add(tmp2, eps, out=tmp2)
-            np.divide(tmp, tmp2, out=tmp)
-            np.subtract(theta, tmp, out=theta)
+            nonlocal theta, m, v
+            m *= b1
+            m += g * (1 - b1)
+            v *= b2
+            v += g * (1 - b2) * g
+            theta -= m / (1 - b1 ** step) * lr / (np.sqrt(v / (1 - b2 ** step)) + eps)
     return update
 
 
@@ -293,7 +285,7 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
     params = NetworkParams(*_layer_views(theta, dims), spec.hidden_activation)
     grad = np.zeros_like(theta)
     grads_w, grads_b = _layer_views(grad, dims)
-    update = _fused_update(config, theta)
+    update = _in_place_update(config, theta)
     initial_loss = mse_loss(params, X_tr, T_tr)
     step = 0
     log = TrainLog()

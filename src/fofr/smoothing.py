@@ -324,7 +324,7 @@ def bandwidth_candidates(series_set, grid: EvalGrid) -> np.ndarray:
 
 def _cv_errors(series_set, family: str, grid: EvalGrid, target: str):
     """Bandwidth candidates and their subject-level CV errors (inf where a
-    fold's fit degenerates)."""
+    fold's fit degenerates, or where no fold can score)."""
     series_set = list(series_set)
     candidates = bandwidth_candidates(series_set, grid)
     n = min(N_FOLDS, len(series_set))  # fold f tests subjects f, f + n, ...
@@ -338,10 +338,9 @@ def _cv_errors(series_set, family: str, grid: EvalGrid, target: str):
     else:
         mid = KernelSpec(family, bandwidth_mean=float(np.median(candidates)))
         base_mean = smooth_mean(series_set, mid, grid)
-        try:
-            held_out = [_raw_pairs(test, base_mean) for _, test in splits]
-        except NoPairs:  # a fold without validation pairs scores no candidate
-            held_out = []
+        # a fold whose test subjects hold no within-subject pair scores nothing
+        splits = [(train, test) for train, test in splits if any(len(s) > 1 for s in test)]
+        held_out = [_raw_pairs(test, base_mean) for _, test in splits]
 
     errors = np.full(len(candidates), np.inf)
     for k, h in enumerate(candidates):

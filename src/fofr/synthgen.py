@@ -10,7 +10,7 @@ against ground truth is returned alongside the dataset.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -68,14 +68,10 @@ class SynthScenario:
                 raise BadScenario(f"{name} must be non-empty and positive")
             if any(a < b for a, b in zip(lams, lams[1:])):
                 raise BadScenario(f"{name} must be non-increasing")
-        cap_x = self.covariate_channels * (2 * self.fourier_order_x + 1)
-        cap_y = self.response_channels * (2 * self.fourier_order_y + 1)
-        if len(self.eigenvalues_x) > cap_x:
-            raise BadScenario(
-                f"covariate rank {len(self.eigenvalues_x)} exceeds basis capacity {cap_x}")
-        if len(self.eigenvalues_y) > cap_y:
-            raise BadScenario(
-                f"response rank {len(self.eigenvalues_y)} exceeds basis capacity {cap_y}")
+        for side, _, channels, order, lams in self._sides():
+            capacity = channels * (2 * order + 1)
+            if len(lams) > capacity:
+                raise BadScenario(f"{side} rank {len(lams)} exceeds basis capacity {capacity}")
         if self.mapping not in ("linear", "quadratic"):
             raise BadScenario(f"unknown mapping {self.mapping!r}")
         lx, ly = len(self.eigenvalues_x), len(self.eigenvalues_y)
@@ -96,6 +92,13 @@ class SynthScenario:
         else:
             raise BadScenario(f"unknown sampling kind {kind!r}")
 
+    def _sides(self):
+        """(side, domain, channels, Fourier order, eigenvalues), covariates first."""
+        return (("covariate", self.covariate_domain, self.covariate_channels,
+                 self.fourier_order_x, self.eigenvalues_x),
+                ("response", self.response_domain, self.response_channels,
+                 self.fourier_order_y, self.eigenvalues_y))
+
 
 class PlantedBasis:
     """Orthonormal multivariate Fourier system of a given rank.
@@ -107,25 +110,19 @@ class PlantedBasis:
 
     def __init__(self, domain: Interval, channels: int, order: int, rank: int,
                  mix: np.ndarray | None):
-        self.domain = domain
-        self.channels = channels
-        self.rank = rank
-        nb = 2 * order + 1
-        self.assignment = [(f, c) for f in range(nb) for c in range(channels)][:rank]
+        self.domain, self.channels, self.rank = domain, channels, rank
+        self.assignment = [(f, c) for f in range(2 * order + 1) for c in range(channels)][:rank]
         if mix is not None and mix.shape != (rank, rank):
             raise BadScenario("mixing matrix shape does not match rank")
         self.mix = mix
 
     def _scalar(self, f_idx: int, times: np.ndarray) -> np.ndarray:
-        length = self.domain.length
-        u = (times - self.domain.lo) / length
-        scale = 1.0 / np.sqrt(length)
+        u = (times - self.domain.lo) / self.domain.length
+        scale = 1.0 / np.sqrt(self.domain.length)
         if f_idx == 0:
             return np.full_like(u, scale)
-        k = (f_idx + 1) // 2
-        if f_idx % 2 == 1:
-            return scale * np.sqrt(2.0) * np.sin(2 * np.pi * k * u)
-        return scale * np.sqrt(2.0) * np.cos(2 * np.pi * k * u)
+        wave = np.sin if f_idx % 2 == 1 else np.cos
+        return scale * np.sqrt(2.0) * wave(2 * np.pi * ((f_idx + 1) // 2) * u)
 
     def eval(self, times: np.ndarray) -> np.ndarray:
         """Tabulate all components: (rank, channels, len(times))."""
@@ -173,21 +170,17 @@ def _mean_function(domain: Interval, channel: int, scale: float, times: np.ndarr
 
 
 def _build_mapping(scenario: SynthScenario, rng: np.random.Generator) -> dict:
-    lam_x = np.array(scenario.eigenvalues_x)
-    lam_y = np.array(scenario.eigenvalues_y)
-    l, p = len(lam_x), len(lam_y)
-    if scenario.mapping == "linear":
-        o = _random_orthogonal(rng, l)
-        sel = np.eye(p, l)
-        b = np.sqrt(lam_y)[:, None] * sel @ o / np.sqrt(lam_x)[None, :]
-        return {"B": b}
-    # quadratic: features [xi, xi^2 - lam_x] have diagonal covariance
+    lam_x, lam_y = np.array(scenario.eigenvalues_x), np.array(scenario.eigenvalues_y)
+    # linear features xi have covariance diag(lam_x), quadratic ones [xi, xi^2 - lam_x]
     # diag(lam_x, 2 lam_x^2); an orthogonal mix keeps the response spectrum exact
-    o = _random_orthogonal(rng, 2 * l)
-    sel = np.eye(p, 2 * l)
-    feat_sd = np.concatenate([np.sqrt(lam_x), np.sqrt(2.0) * lam_x])
-    b_full = np.sqrt(lam_y)[:, None] * sel @ o / feat_sd[None, :]
-    return {"B1": b_full[:, :l], "B2": b_full[:, l:]}
+    feat_sd = np.sqrt(lam_x)
+    if scenario.mapping == "quadratic":
+        feat_sd = np.concatenate([feat_sd, np.sqrt(2.0) * lam_x])
+    o = _random_orthogonal(rng, len(feat_sd))
+    b = np.sqrt(lam_y)[:, None] * np.eye(len(lam_y), len(feat_sd)) @ o / feat_sd[None, :]
+    if scenario.mapping == "linear":
+        return {"B": b}
+    return {"B1": b[:, :len(lam_x)], "B2": b[:, len(lam_x):]}
 
 
 def apply_mapping(mapping: dict, eigenvalues_x, xi: np.ndarray) -> np.ndarray:
@@ -201,104 +194,60 @@ def apply_mapping(mapping: dict, eigenvalues_x, xi: np.ndarray) -> np.ndarray:
     return theta if theta.shape[0] > 1 else theta[0]
 
 
-def _sample_times(scenario: SynthScenario, domain: Interval, rng: np.random.Generator) -> np.ndarray:
+def _draw_series(scenario: SynthScenario, basis: PlantedBasis, channel: int,
+                 scores: np.ndarray, rng: np.random.Generator) -> ObservationSeries:
+    """One subject's series on one channel: times, planted mean + scores·basis, noise."""
+    lo, hi = basis.domain.lo, basis.domain.hi
     if scenario.sampling[0] == "dense":
-        return np.linspace(domain.lo, domain.hi, int(scenario.sampling[1]))
-    rate, min_points = float(scenario.sampling[1]), int(scenario.sampling[2])
-    m = max(int(rng.poisson(rate)), min_points)
-    return np.sort(rng.uniform(domain.lo, domain.hi, size=m))
+        times = np.linspace(lo, hi, int(scenario.sampling[1]))
+    else:
+        rate, min_points = float(scenario.sampling[1]), int(scenario.sampling[2])
+        times = np.sort(rng.uniform(lo, hi, size=max(int(rng.poisson(rate)), min_points)))
+    values = (_mean_function(basis.domain, channel, scenario.mean_scale, times)
+              + np.einsum("p,pt->t", scores, basis.eval(times)[:, channel, :]))
+    if scenario.noise_sd > 0:
+        values = values + scenario.noise_sd * rng.standard_normal(len(times))
+    return ObservationSeries(times, values)
 
 
 def generate(scenario: SynthScenario):
     """Draw a full dataset plus its GroundTruth record; deterministic per seed."""
     rng = np.random.default_rng(scenario.seed)
-    l, p = len(scenario.eigenvalues_x), len(scenario.eigenvalues_y)
-    lam_x = np.array(scenario.eigenvalues_x)
-    lam_y = np.array(scenario.eigenvalues_y)
-
-    mix_x = _random_orthogonal(rng, l) if scenario.mix_channels else None
-    mix_y = _random_orthogonal(rng, p) if scenario.mix_channels else None
-    basis_x = PlantedBasis(scenario.covariate_domain, scenario.covariate_channels,
-                           scenario.fourier_order_x, l, mix_x)
-    basis_y = PlantedBasis(scenario.response_domain, scenario.response_channels,
-                           scenario.fourier_order_y, p, mix_y)
+    bases = [PlantedBasis(domain, channels, order, len(lams),
+                          _random_orthogonal(rng, len(lams)) if scenario.mix_channels else None)
+             for _, domain, channels, order, lams in scenario._sides()]
     mapping = _build_mapping(scenario, rng)
 
     n = scenario.n_subjects
-    xi = rng.standard_normal((n, l)) * np.sqrt(lam_x)[None, :]
-    theta = np.atleast_2d(apply_mapping(mapping, lam_x, xi))
+    xi = rng.standard_normal((n, bases[0].rank)) * np.sqrt(scenario.eigenvalues_x)[None, :]
+    scores = (xi, np.atleast_2d(apply_mapping(mapping, scenario.eigenvalues_x, xi)))
 
-    grid_s = make_grid(scenario.covariate_domain, TRUTH_GRID_SIZE)
-    grid_t = make_grid(scenario.response_domain, TRUTH_GRID_SIZE)
-    tab_x = basis_x.eval(grid_s.points)
-    tab_y = basis_y.eval(grid_t.points)
-    mean_x = np.stack([_mean_function(scenario.covariate_domain, c, scenario.mean_scale,
-                                      grid_s.points)
-                       for c in range(scenario.covariate_channels)])
-    mean_y = np.stack([_mean_function(scenario.response_domain, c, scenario.mean_scale,
-                                      grid_t.points)
-                       for c in range(scenario.response_channels)])
-    var_x = np.einsum("p,pcg->cg", lam_x, tab_x ** 2)
-    var_y = np.einsum("p,pcg->cg", lam_y, tab_y ** 2)
-    noiseless = mean_y[None, :, :] + np.einsum("np,pdg->ndg", theta, tab_y)
+    grids = [make_grid(basis.domain, TRUTH_GRID_SIZE) for basis in bases]
+    tabs = [basis.eval(grid.points) for basis, grid in zip(bases, grids)]
+    means = [np.stack([_mean_function(basis.domain, c, scenario.mean_scale, grid.points)
+                       for c in range(basis.channels)]) for basis, grid in zip(bases, grids)]
+    variances = [np.einsum("p,pcg->cg", np.array(lams), tab ** 2)
+                 for (*_, lams), tab in zip(scenario._sides(), tabs)]
+    noiseless = means[1][None, :, :] + np.einsum("np,pdg->ndg", scores[1], tabs[1])
 
-    subject_ids = [f"s{i:04d}" for i in range(n)]
-    covariates, responses = [], []
-    for i in range(n):
-        cov_row = []
-        for r in range(scenario.covariate_channels):
-            times = _sample_times(scenario, scenario.covariate_domain, rng)
-            vals = (_mean_function(scenario.covariate_domain, r, scenario.mean_scale, times)
-                    + np.einsum("p,pt->t", xi[i], basis_x.eval(times)[:, r, :]))
-            if scenario.noise_sd > 0:
-                vals = vals + scenario.noise_sd * rng.standard_normal(len(times))
-            cov_row.append(ObservationSeries(times, vals))
-        covariates.append(cov_row)
-        res_row = []
-        for d in range(scenario.response_channels):
-            times = _sample_times(scenario, scenario.response_domain, rng)
-            vals = (_mean_function(scenario.response_domain, d, scenario.mean_scale, times)
-                    + np.einsum("p,pt->t", theta[i], basis_y.eval(times)[:, d, :]))
-            if scenario.noise_sd > 0:
-                vals = vals + scenario.noise_sd * rng.standard_normal(len(times))
-            res_row.append(ObservationSeries(times, vals))
-        responses.append(res_row)
-
-    dataset = FunctionalDataset(
-        covariate_domain=scenario.covariate_domain,
-        response_domain=scenario.response_domain,
-        covariate_names=tuple(f"x{r + 1}" for r in range(scenario.covariate_channels)),
-        response_names=tuple(f"y{d + 1}" for d in range(scenario.response_channels)),
-        subject_ids=subject_ids,
-        covariates=covariates,
-        responses=responses,
-    )
-    truth = GroundTruth(
-        scenario=scenario,
-        grid_s=grid_s,
-        grid_t=grid_t,
-        covariate_basis=tab_x,
-        response_basis=tab_y,
-        covariate_mean=mean_x,
-        response_mean=mean_y,
-        covariate_var=var_x,
-        response_var=var_y,
-        covariate_scores=xi,
-        response_scores=theta,
-        mapping_matrices=mapping,
-        noiseless_responses=noiseless,
-    )
+    # subject by subject, covariates before responses
+    covariates, responses = zip(*(
+        [[_draw_series(scenario, basis, c, side_scores[i], rng) for c in range(basis.channels)]
+         for basis, side_scores in zip(bases, scores)]
+        for i in range(n)))
+    schema = dataset_schema(scenario)
+    dataset = FunctionalDataset(scenario.covariate_domain, scenario.response_domain,
+                                schema.covariates, schema.responses,
+                                [f"s{i:04d}" for i in range(n)], covariates, responses)
+    # GroundTruth holds each pair of tables covariate side first
+    truth = GroundTruth(scenario, *grids, *tabs, *means, *variances, *scores, mapping, noiseless)
     return dataset, truth
 
 
 def dataset_schema(scenario: SynthScenario, grid_size: int = 101) -> DatasetSchema:
-    return DatasetSchema(
-        covariates=tuple(f"x{r + 1}" for r in range(scenario.covariate_channels)),
-        responses=tuple(f"y{d + 1}" for d in range(scenario.response_channels)),
-        covariate_domain=scenario.covariate_domain,
-        response_domain=scenario.response_domain,
-        grid_size=grid_size,
-    )
+    return DatasetSchema(tuple(f"x{r + 1}" for r in range(scenario.covariate_channels)),
+                         tuple(f"y{d + 1}" for d in range(scenario.response_channels)),
+                         scenario.covariate_domain, scenario.response_domain, grid_size)
 
 
 def drop_observations(dataset: FunctionalDataset, fraction: float, seed: int,
@@ -315,18 +264,9 @@ def drop_observations(dataset: FunctionalDataset, fraction: float, seed: int,
         return ObservationSeries(series.times[keep], series.values[keep])
 
     covariates = [[thin(s) for s in row] for row in dataset.covariates]
-    responses = None
-    if dataset.responses is not None:
-        responses = [[thin(s) for s in row] for row in dataset.responses]
-    return FunctionalDataset(
-        covariate_domain=dataset.covariate_domain,
-        response_domain=dataset.response_domain,
-        covariate_names=dataset.covariate_names,
-        response_names=dataset.response_names,
-        subject_ids=dataset.subject_ids,
-        covariates=covariates,
-        responses=responses,
-    )
+    responses = (None if dataset.responses is None
+                 else [[thin(s) for s in row] for row in dataset.responses])
+    return replace(dataset, covariates=covariates, responses=responses)
 
 
 def scenario_from_dict(d: dict) -> SynthScenario:
@@ -334,22 +274,19 @@ def scenario_from_dict(d: dict) -> SynthScenario:
         kwargs = dict(d)
         preset = kwargs.pop("preset", None)
         if preset is not None:
-            base = preset_scenario(preset)
-            merged = {**base.__dict__, **kwargs}
-            kwargs = merged
-        if "covariate_domain" in kwargs and not isinstance(kwargs["covariate_domain"], Interval):
-            kwargs["covariate_domain"] = Interval(*map(float, kwargs["covariate_domain"]))
-        if "response_domain" in kwargs and not isinstance(kwargs["response_domain"], Interval):
-            kwargs["response_domain"] = Interval(*map(float, kwargs["response_domain"]))
+            kwargs = {**preset_scenario(preset).__dict__, **kwargs}
+        for name in ("covariate_domain", "response_domain"):
+            if name in kwargs and not isinstance(kwargs[name], Interval):
+                kwargs[name] = Interval(*map(float, kwargs[name]))
         sampling = kwargs.get("sampling")
         if isinstance(sampling, dict):
-            if sampling.get("kind") == "dense":
-                kwargs["sampling"] = ("dense", int(sampling["points"]))
-            elif sampling.get("kind") == "irregular":
-                kwargs["sampling"] = ("irregular", float(sampling["rate"]),
-                                      int(sampling["min_points"]))
+            kind = sampling.get("kind")
+            if kind == "dense":
+                kwargs["sampling"] = (kind, int(sampling["points"]))
+            elif kind == "irregular":
+                kwargs["sampling"] = (kind, float(sampling["rate"]), int(sampling["min_points"]))
             else:
-                raise BadScenario(f"unknown sampling kind {sampling.get('kind')!r}")
+                raise BadScenario(f"unknown sampling kind {kind!r}")
         return SynthScenario(**kwargs)
     except (TypeError, LookupError, ValueError, OverflowError) as exc:
         raise BadScenario(f"bad scenario: {exc}") from exc
@@ -363,38 +300,16 @@ def load_scenario(path) -> SynthScenario:
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
-    sc = truth.scenario
-    return {
-        "scenario": {
-            "n_subjects": sc.n_subjects,
-            "covariate_channels": sc.covariate_channels,
-            "response_channels": sc.response_channels,
-            "fourier_order_x": sc.fourier_order_x,
-            "fourier_order_y": sc.fourier_order_y,
-            "eigenvalues_x": list(sc.eigenvalues_x),
-            "eigenvalues_y": list(sc.eigenvalues_y),
-            "mapping": sc.mapping,
-            "noise_sd": sc.noise_sd,
-            "sampling": list(sc.sampling),
-            "covariate_domain": [sc.covariate_domain.lo, sc.covariate_domain.hi],
-            "response_domain": [sc.response_domain.lo, sc.response_domain.hi],
-            "mix_channels": sc.mix_channels,
-            "mean_scale": sc.mean_scale,
-            "seed": sc.seed,
-        },
-        "grid_s": truth.grid_s.points.tolist(),
-        "grid_t": truth.grid_t.points.tolist(),
-        "covariate_basis": truth.covariate_basis.tolist(),
-        "response_basis": truth.response_basis.tolist(),
-        "covariate_mean": truth.covariate_mean.tolist(),
-        "response_mean": truth.response_mean.tolist(),
-        "covariate_var": truth.covariate_var.tolist(),
-        "response_var": truth.response_var.tolist(),
-        "covariate_scores": truth.covariate_scores.tolist(),
-        "response_scores": truth.response_scores.tolist(),
-        "mapping_matrices": {k: v.tolist() for k, v in truth.mapping_matrices.items()},
-        "noiseless_responses": truth.noiseless_responses.tolist(),
-    }
+    scenario = {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(truth.scenario).items()}
+    for name in ("covariate_domain", "response_domain"):
+        scenario[name] = [scenario[name]["lo"], scenario[name]["hi"]]
+    out = {name: value.tolist() for name, value in vars(truth).items()
+           if isinstance(value, np.ndarray)}
+    out.update(scenario=scenario, grid_s=truth.grid_s.points.tolist(),
+               grid_t=truth.grid_t.points.tolist(),
+               mapping_matrices={k: v.tolist() for k, v in truth.mapping_matrices.items()})
+    return out
 
 
 def save_ground_truth(truth: GroundTruth, path):
@@ -403,40 +318,23 @@ def save_ground_truth(truth: GroundTruth, path):
         fh.write("\n")
 
 
-# canonical scenarios used across the test and demo suites
-
 def preset_scenario(name: str) -> SynthScenario:
+    """The canonical scenarios of the test and demo suites."""
     q = 0.75
     if name == "rank_11_10":
-        return SynthScenario(
-            n_subjects=500, covariate_channels=1, response_channels=1,
-            fourier_order_x=5, fourier_order_y=5,
-            eigenvalues_x=tuple(q ** k for k in range(1, 12)),
-            eigenvalues_y=tuple(q ** k for k in range(1, 11)),
-            mapping="linear", noise_sd=0.0, sampling=("dense", 51),
-            mix_channels=False, seed=11)
-    if name == "linear":
-        return SynthScenario(
-            n_subjects=500, covariate_channels=2, response_channels=2,
-            fourier_order_x=2, fourier_order_y=2,
-            eigenvalues_x=tuple(q ** k for k in range(1, 5)),
-            eigenvalues_y=tuple(q ** k for k in range(1, 4)),
-            mapping="linear", noise_sd=0.0, sampling=("dense", 41),
-            mix_channels=True, seed=23)
-    if name == "dense":
-        return SynthScenario(
-            n_subjects=500, covariate_channels=2, response_channels=2,
-            fourier_order_x=2, fourier_order_y=2,
-            eigenvalues_x=tuple(q ** k for k in range(1, 5)),
-            eigenvalues_y=tuple(q ** k for k in range(1, 4)),
-            mapping="linear", noise_sd=0.15, sampling=("dense", 61),
-            mix_channels=True, seed=31)
-    if name == "quadratic":
-        return SynthScenario(
-            n_subjects=500, covariate_channels=2, response_channels=2,
-            fourier_order_x=2, fourier_order_y=2,
-            eigenvalues_x=tuple(q ** k for k in range(1, 5)),
-            eigenvalues_y=tuple(q ** k for k in range(1, 4)),
-            mapping="quadratic", noise_sd=0.05, sampling=("dense", 31),
-            mix_channels=True, seed=47)
-    raise BadScenario(f"unknown preset {name!r}")
+        return SynthScenario(n_subjects=500, fourier_order_x=5, fourier_order_y=5,
+                             eigenvalues_x=tuple(q ** k for k in range(1, 12)),
+                             eigenvalues_y=tuple(q ** k for k in range(1, 11)),
+                             sampling=("dense", 51), mix_channels=False, seed=11)
+    # the other three share one design, and differ in mapping, noise, sampling and seed
+    changes = {
+        "linear": dict(mapping="linear", noise_sd=0.0, sampling=("dense", 41), seed=23),
+        "dense": dict(mapping="linear", noise_sd=0.15, sampling=("dense", 61), seed=31),
+        "quadratic": dict(mapping="quadratic", noise_sd=0.05, sampling=("dense", 31), seed=47),
+    }
+    if name not in changes:
+        raise BadScenario(f"unknown preset {name!r}")
+    return SynthScenario(n_subjects=500, covariate_channels=2, response_channels=2,
+                         fourier_order_x=2, fourier_order_y=2,
+                         eigenvalues_x=tuple(q ** k for k in range(1, 5)),
+                         eigenvalues_y=tuple(q ** k for k in range(1, 4)), **changes[name])

@@ -210,6 +210,27 @@ class TestPredict:
         assert rows[0] == ["subject_id", "variable_id", "time", "value"]
         assert len(rows) - 1 == 40 * 2 * 101  # N * D * G_t
 
+    def test_one_subject_file(self, trained, tmp_path, capsys):
+        # one subject's covariates are scored as that subject's rows in a batch
+        tmp, out_dir, model, _ = trained
+        header, *rows = (out_dir / "data.csv").read_text().splitlines()
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join([header] + [r for r in rows if r.startswith("s0003,")
+                                              and ",covariate," in r]) + "\n")
+        predicted = []
+        for data in (out_dir / "data.csv", one):
+            pred = tmp_path / f"{data.stem}_pred.csv"
+            code, _, _ = run(capsys, "predict", "--model", str(model), "--data", str(data),
+                             "--schema", str(out_dir / "schema.json"), "--out", str(pred))
+            assert code == 0
+            predicted.append(_read_series(pred))
+        batch, alone = predicted
+        assert {sid for sid, _ in alone} == {"s0003"}
+        for key, (times, values) in alone.items():
+            np.testing.assert_array_equal(times, batch[key][0])
+            scale = np.max(np.abs(batch[key][1]))
+            assert np.max(np.abs(values - batch[key][1])) <= 1e-12 * scale
+
     def test_wrong_channels_exit_3(self, trained, tmp_path, capsys):
         tmp, out_dir, model, _ = trained
         renamed = tmp_path / "renamed.csv"

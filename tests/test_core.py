@@ -35,6 +35,7 @@ from fofr.errors import (
     MalformedRow,
     MissingChannel,
 )
+from fofr.pipeline import PipelineConfig, train_pipeline
 from fofr.synthgen import dataset_schema, generate, preset_scenario
 
 
@@ -496,17 +497,19 @@ class TestWriter:
 
 class TestDatasetValidation:
     def test_needs_two_subjects(self):
+        # one subject is a dataset that can be scored, but not trained on
         data, _ = small_dataset()
-        with pytest.raises(InsufficientCoverage):
-            FunctionalDataset(
-                covariate_domain=data.covariate_domain,
-                response_domain=data.response_domain,
-                covariate_names=data.covariate_names,
-                response_names=data.response_names,
-                subject_ids=data.subject_ids[:1],
-                covariates=data.covariates[:1],
-                responses=data.responses[:1],
-            )
+        one = FunctionalDataset(
+            covariate_domain=data.covariate_domain,
+            response_domain=data.response_domain,
+            covariate_names=data.covariate_names,
+            response_names=data.response_names,
+            subject_ids=data.subject_ids[:1],
+            covariates=data.covariates[:1],
+            responses=data.responses[:1],
+        )
+        with pytest.raises(InsufficientCoverage, match="need at least 2 subjects, got 1"):
+            train_pipeline(one, PipelineConfig(regressor="fflm"))
 
     def test_time_outside_domain_names_subject_and_channel(self):
         data, _ = small_dataset()
@@ -526,30 +529,32 @@ class TestDatasetValidation:
                 responses=data.responses,
             )
 
+    @staticmethod
+    def two_subjects(series):
+        return FunctionalDataset(
+            covariate_domain=Interval(0, 1),
+            response_domain=Interval(0, 1),
+            covariate_names=("x1",),
+            response_names=("y1",),
+            subject_ids=("a", "b"),
+            covariates=((series,), (series,)),
+            responses=((series,), (series,)),
+        )
+
     def test_coverage_too_few_pooled_times(self):
         times = np.array([0.0, 1.0])
-        series = ObservationSeries(times, np.zeros(2))
-        with pytest.raises(InsufficientCoverage):
-            FunctionalDataset(
-                covariate_domain=Interval(0, 1),
-                response_domain=Interval(0, 1),
-                covariate_names=("x1",),
-                response_names=("y1",),
-                subject_ids=("a", "b"),
-                covariates=((series,), (series,)),
-                responses=((series,), (series,)),
-            )
+        data = self.two_subjects(ObservationSeries(times, np.zeros(2)))
+        with pytest.raises(InsufficientCoverage,
+                           match=r"channel 'x1': only 2 distinct pooled times \(need >= 10\)"):
+            train_pipeline(data, PipelineConfig(regressor="fflm"))
 
     def test_coverage_span_too_small(self):
         times = np.linspace(0.0, 0.5, 15)
-        series = ObservationSeries(times, np.zeros(15))
+        data = self.two_subjects(ObservationSeries(times, np.zeros(15)))
+        with pytest.raises(InsufficientCoverage, match="channel 'x1': pooled times span 0.5 "):
+            train_pipeline(data, PipelineConfig(regressor="fflm"))
+
+    def test_needs_a_subject(self):
+        data, _ = small_dataset()
         with pytest.raises(InsufficientCoverage):
-            FunctionalDataset(
-                covariate_domain=Interval(0, 1),
-                response_domain=Interval(0, 1),
-                covariate_names=("x1",),
-                response_names=("y1",),
-                subject_ids=("a", "b"),
-                covariates=((series,), (series,)),
-                responses=((series,), (series,)),
-            )
+            replace(data, subject_ids=(), covariates=(), responses=())

@@ -176,6 +176,17 @@ class TestPredict:
             predict_pipeline(model, stretched)
 
 
+    def test_one_subject_is_scored_as_its_row_in_a_batch(self, small_linear, fflm_model):
+        data, _ = small_linear
+        model, _ = fflm_model
+        batch = predict_pipeline(model, data).values
+        i = 7
+        one = replace(data, subject_ids=data.subject_ids[i:i + 1],
+                      covariates=data.covariates[i:i + 1], responses=None)
+        alone = predict_pipeline(model, one)
+        assert alone.subject_ids == (data.subject_ids[i],)
+        assert np.max(np.abs(alone.values[0] - batch[i])) <= 1e-12 * np.max(np.abs(batch[i]))
+
     def test_too_sparse_series(self, small_linear, fflm_model):
         data, _ = small_linear
         model, _ = fflm_model
@@ -330,6 +341,17 @@ class TestSplit:
         a = split_subjects(data, 0.25, seed=1)[1].subject_ids
         b = split_subjects(data, 0.25, seed=1)[1].subject_ids
         assert a == b
+
+    def test_small_test_set_of_a_sparse_design(self):
+        # three test subjects with about 4 times per series pool too few times
+        # to smooth a channel; only training needs that
+        sc = replace(preset_scenario("dense"), n_subjects=60, sampling=("irregular", 4, 2))
+        data, _ = generate(sc)
+        for seed in range(3):
+            train, test = split_subjects(data, 0.05, seed)
+            assert (train.n_subjects, test.n_subjects) == (57, 3)
+        model, _ = train_pipeline(train, PipelineConfig(regressor="fflm"))
+        assert np.all(np.isfinite(predict_pipeline(model, test).values))
 
     def test_bad_fraction(self, small_linear):
         data, _ = small_linear

@@ -102,7 +102,9 @@ def loop_mean_reference(series_set, kernel, grid):
 
 def loop_cv_reference(series_set, family, grid, target):
     """The candidate-by-fold loop that bandwidth CV replaced: it splits the
-    folds and forms the validation pairs anew for every candidate."""
+    folds and forms the validation pairs anew for every candidate.  A
+    covariance fold whose test subjects hold no within-subject pair is
+    skipped."""
     candidates = bandwidth_candidates(series_set, grid)
     folds = np.arange(len(series_set)) % min(5, len(series_set))
     if target == "covariance":
@@ -116,6 +118,8 @@ def loop_cv_reference(series_set, family, grid, target):
                 train = [s for s, ff in zip(series_set, folds) if ff != f]
                 test = [s for s, ff in zip(series_set, folds) if ff == f]
                 if not train or not test:
+                    continue
+                if target == "covariance" and all(len(s) < 2 for s in test):
                     continue
                 if target == "mean":
                     fit = smooth_mean(train, KernelSpec(family, bandwidth_mean=float(h)), grid)
@@ -135,6 +139,21 @@ def loop_cv_reference(series_set, family, grid, target):
         if cnt:
             errors[k] = sse / cnt
     return candidates, errors
+
+
+def assert_cv_matches_loop_reference(series_set, grid, target):
+    """CV errors match the reference loop's, some candidate scores, and the
+    selected bandwidth is the reference's pick."""
+    ref_candidates, ref_errors = loop_cv_reference(series_set, "gaussian", grid, target)
+    candidates, errors = _cv_errors(series_set, "gaussian", grid, target)
+    np.testing.assert_array_equal(candidates, ref_candidates)
+    finite = np.isfinite(ref_errors)
+    assert np.any(finite)
+    np.testing.assert_array_equal(np.isfinite(errors), finite)
+    np.testing.assert_allclose(errors[finite], ref_errors[finite], rtol=1e-9)
+    best = np.min(ref_errors[finite])
+    pick = np.flatnonzero(ref_errors <= best + 1e-12 * (1.0 + best))[0]
+    assert select_bandwidth(series_set, "gaussian", grid, target) == ref_candidates[pick]
 
 
 def assert_matches_cov_oracle(series_set, kernel, grid, rtol=1e-8, atol=1e-10):
@@ -386,27 +405,19 @@ class TestBandwidths:
         rng = np.random.default_rng(seed)
         series = random_series_set(rng, n_subjects=11, m_lo=4, m_hi=10,
                                    fn=lambda t: np.sin(2 * np.pi * t) + rng.standard_normal(len(t)))
-        grid = make_grid(Interval(0, 1), 15)
-        ref_candidates, ref_errors = loop_cv_reference(series, "gaussian", grid, target)
-        candidates, errors = _cv_errors(series, "gaussian", grid, target)
-        np.testing.assert_array_equal(candidates, ref_candidates)
-        assert np.any(np.isfinite(ref_errors))
-        np.testing.assert_array_equal(np.isfinite(errors), np.isfinite(ref_errors))
-        finite = np.isfinite(ref_errors)
-        np.testing.assert_allclose(errors[finite], ref_errors[finite], rtol=1e-9)
-        best = np.min(ref_errors[finite])
-        pick = np.flatnonzero(ref_errors <= best + 1e-12 * (1.0 + best))[0]
-        assert select_bandwidth(series, "gaussian", grid, target) == ref_candidates[pick]
+        assert_cv_matches_loop_reference(series, make_grid(Interval(0, 1), 15), target)
 
     def test_cv_fold_without_validation_pairs(self):
-        # the fifth fold tests one single-observation subject, so no
-        # covariance candidate can be scored
+        # the fifth fold tests one single-observation subject, so it scores no
+        # covariance candidate; the other four folds pick the bandwidth
         rng = np.random.default_rng(73)
         series = random_series_set(rng, n_subjects=4)
         series.append(ObservationSeries([0.5], [1.0]))
+        assert_cv_matches_loop_reference(series, make_grid(Interval(0, 1), 11), "covariance")
+
+    def test_cv_without_any_validation_pair(self):
+        series = [ObservationSeries([t], [1.0]) for t in np.linspace(0.0, 1.0, 12)]
         grid = make_grid(Interval(0, 1), 11)
-        _, ref_errors = loop_cv_reference(series, "gaussian", grid, "covariance")
-        assert not np.any(np.isfinite(ref_errors))
         with pytest.raises(AllCandidatesDegenerate):
             select_bandwidth(series, "gaussian", grid, "covariance")
 

@@ -1,7 +1,7 @@
 """Synthetic generator tests: planted structure must be exactly recoverable."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,11 +9,14 @@ import pytest
 from fofr.core import Interval, make_grid
 from fofr.errors import BadScenario, IndexOutOfRange
 from fofr.synthgen import (
+    TRUTH_GRID_SIZE,
+    GroundTruth,
     PlantedBasis,
     SynthScenario,
     apply_mapping,
     drop_observations,
     generate,
+    ground_truth_to_dict,
     load_scenario,
     oracle_scores,
     preset_scenario,
@@ -205,6 +208,36 @@ class TestScenarioSerialization:
         path.write_text(json.dumps({"preset": "quadratic", "n_subjects": 12}))
         sc = load_scenario(path)
         assert sc.mapping == "quadratic" and sc.n_subjects == 12
+
+    @pytest.mark.parametrize("scenario", [
+        *(replace(preset_scenario(name), n_subjects=6)
+          for name in ("rank_11_10", "linear", "dense", "quadratic")),
+        replace(preset_scenario("dense"), n_subjects=6, sampling=("irregular", 20, 5),
+                covariate_domain=Interval(-1.0, 2.5), mix_channels=False, mean_scale=2.0),
+    ], ids=["rank_11_10", "linear", "dense", "quadratic", "irregular"])
+    def test_ground_truth_record(self, scenario):
+        _, truth = generate(scenario)
+        record = json.loads(json.dumps(ground_truth_to_dict(truth)))
+        assert scenario_from_dict(record["scenario"]) == scenario
+        assert set(record) == {f.name for f in fields(GroundTruth)}
+        l, p = len(scenario.eigenvalues_x), len(scenario.eigenvalues_y)
+        r, d = scenario.covariate_channels, scenario.response_channels
+        n, g = scenario.n_subjects, TRUTH_GRID_SIZE
+        shapes = {"covariate_basis": (l, r, g), "response_basis": (p, d, g),
+                  "covariate_mean": (r, g), "response_mean": (d, g),
+                  "covariate_var": (r, g), "response_var": (d, g),
+                  "covariate_scores": (n, l), "response_scores": (n, p),
+                  "noiseless_responses": (n, d, g)}
+        for name, shape in shapes.items():
+            assert np.shape(record[name]) == shape
+            np.testing.assert_array_equal(np.array(record[name]), getattr(truth, name),
+                                          strict=True)
+        for name, grid in (("grid_s", truth.grid_s), ("grid_t", truth.grid_t)):
+            np.testing.assert_array_equal(np.array(record[name]), grid.points, strict=True)
+        assert record["mapping_matrices"].keys() == truth.mapping_matrices.keys()
+        for name, value in truth.mapping_matrices.items():
+            np.testing.assert_array_equal(np.array(record["mapping_matrices"][name]), value,
+                                          strict=True)
 
     def test_load_scenario_bad_json(self, tmp_path):
         path = tmp_path / "sc.json"
