@@ -25,12 +25,12 @@ from fofr.core import (
     write_schema,
 )
 from fofr.errors import BadConfig, FofrError, InputError
-from fofr.fpca import fve_table
 from fofr.pipeline import (
     MetricsReport,
     PipelineConfig,
     _json_object,
     _score_series,
+    fpca_report,
     load_model,
     predict_pipeline,
     save_model,
@@ -188,29 +188,6 @@ def cmd_evaluate(args) -> int:
     else:
         print(report.to_table())
     return EXIT_OK
-
-
-def fpca_report(model) -> dict:
-    def side_report(side):
-        lam = side.multivariate.eigenvalues
-        return {
-            "channels": [{"channel": system.channel,
-                          "eigenvalues": system.eigenvalues.tolist(),
-                          "fve": [row["fve"] for row in fve_table(system.eigenvalues)],
-                          "n_components": system.n_components}
-                         for system in side.univariate],
-            "multivariate_eigenvalues": lam.tolist(),
-            "multivariate_fve": [row["fve"] for row in fve_table(lam)],
-            "n_components": side.multivariate.n_components,
-        }
-
-    return {
-        "covariate_side": side_report(model.covariate_side),
-        "response_side": side_report(model.response_side),
-        "L": model.n_inputs,
-        "P": model.n_outputs,
-        "regressor": model.regressor_kind,
-    }
 
 
 def _print_fpca_tables(doc: dict):

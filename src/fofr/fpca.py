@@ -72,13 +72,19 @@ class MultivariateEigenSystem:
         return self.eigenfunctions.shape[1]
 
 
+def cumulative_fve(eigenvalues: np.ndarray) -> np.ndarray:
+    """Cumulative fraction of variance explained by the leading k components,
+    k = 1..P: the share that truncation compares with the FVE cutoff."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    return np.cumsum(lam) / np.sum(lam)
+
+
 def select_truncation(eigenvalues: np.ndarray, rule: TruncationRule) -> int:
     """Smallest k whose cumulative eigenvalue share reaches the cutoff."""
     lam = np.asarray(eigenvalues, dtype=float)
     if len(lam) == 0 or not np.any(lam > 0):
         raise EmptySpectrum("no positive eigenvalues")
-    fve = np.cumsum(lam) / np.sum(lam)
-    k = int(np.searchsorted(fve, rule.fve_cutoff - 1e-12) + 1)
+    k = int(np.searchsorted(cumulative_fve(lam), rule.fve_cutoff - 1e-12) + 1)
     k = min(k, len(lam))
     if rule.max_components is not None:
         k = min(k, rule.max_components)
@@ -210,14 +216,3 @@ def reconstruct(scores: np.ndarray, eig: MultivariateEigenSystem) -> np.ndarray:
         raise LengthMismatch(
             f"scores have shape {scores.shape}, expected (N, {eig.n_components})")
     return np.einsum("np,pdg->ndg", scores, eig.eigenfunctions)
-
-
-def fve_table(eigenvalues: np.ndarray) -> list:
-    """Cumulative fraction-of-variance-explained per component."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    total = float(np.sum(lam))
-    cum = np.cumsum(lam)
-    return [
-        {"component": i + 1, "eigenvalue": float(lam[i]), "fve": float(cum[i] / total)}
-        for i in range(len(lam))
-    ]

@@ -45,7 +45,7 @@ from fofr.fpca import (
     MultivariateEigenSystem,
     TruncationRule,
     UnivariateEigenSystem,
-    fve_table,
+    cumulative_fve,
     multivariate_fpca,
     project_multivariate,
     project_univariate,
@@ -75,7 +75,6 @@ from fofr.smoothing import (
     resolve_bandwidths,
     smooth_covariance,
     smooth_mean,
-    standardize,
     variance_floor,
 )
 
@@ -100,7 +99,11 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        widths = tuple(self.hidden_widths)
+        if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 1
+                   for w in widths):
+            raise ValueError(f"hidden_widths must be integers >= 1, got {list(widths)}")
+        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in widths))
         if self.regressor not in ("nn", "fflm"):
             raise ValueError(f"regressor must be 'nn' or 'fflm', got {self.regressor!r}")
         if self.hidden_activation not in ACTIVATIONS:
@@ -252,28 +255,25 @@ def _standardized_curves(channels, names, standardization, subject_ids) -> np.nd
             if len(series) < 2:
                 raise TooSparse(f"subject {subject_ids[i]!r} channel {name!r}: need at least "
                                 f"2 observations to project, got {len(series)}")
-            z = standardize(series, params)
-            curves[i, c] = np.interp(params.grid.points, z.times, z.values)
+            t = series.times
+            z = (series.values - params.mean_at(t)) / np.sqrt(params.var_at(t))
+            curves[i, c] = np.interp(params.grid.points, t, z)
     return curves
 
 
-def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label,
-              subject_ids, diagnostics):
-    """Smooth, standardize and run FPCA for one side; returns the SideModel
-    plus the (N, L) multivariate scores of its subjects."""
+def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label, subject_ids):
+    """Smooth, standardize and run FPCA for one side; returns the SideModel,
+    the (N, L) multivariate scores of its subjects, and per channel what the
+    fit chose that the model does not hold (bandwidths, variance clipping)."""
     grid = make_grid(domain, grid_size)
     standardizations = []
     univariate_systems = []
-    side_diag = {"channels": {}, "bandwidths": {}}
+    fits = []
 
     for name, series_set in zip(names, channels):
         label = f"{side_label}/channel={name}"
         with _stage(f"smoothing/{label}"):
             resolved = resolve_bandwidths(series_set, kernel, grid)
-            side_diag["bandwidths"][name] = {
-                "mean": float(resolved.bandwidth_mean),
-                "cov": float(resolved.bandwidth_cov),
-            }
             mean = smooth_mean(series_set, resolved, grid)
             surface = smooth_covariance(series_set, mean, resolved, grid)
             params = build_standardization(mean, surface)
@@ -284,20 +284,19 @@ def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label,
         z_surface = CovarianceSurface(grid, surface.values / np.outer(sd, sd))
         variance = np.diag(surface.values)
         floor = variance_floor(variance)
-        ch_diag = {"variance_floor": floor, "n_variance_clipped": int(np.sum(variance < floor))}
+        fit = {"bandwidth_mean": float(resolved.bandwidth_mean),
+               "bandwidth_cov": float(resolved.bandwidth_cov),
+               "variance_floor": floor, "n_variance_clipped": int(np.sum(variance < floor))}
         uni_rule = _capped(rule, min(len(subject_ids) - 1, grid.size))
         with _stage(f"fpca/{label}"):
             try:
                 system = univariate_fpca(z_surface, uni_rule, channel=name)
             except EmptySpectrum:
                 logger.warning("%s: empty spectrum; channel contributes no components", label)
-                ch_diag["warning"] = "empty spectrum"
+                fit["warning"] = "empty spectrum"
                 system = UnivariateEigenSystem(grid, np.zeros(0), np.zeros((0, grid.size)), name)
         univariate_systems.append(system)
-        ch_diag["eigenvalues"] = system.eigenvalues.tolist()
-        ch_diag["fve"] = fve_table(system.eigenvalues) if system.n_components else []
-        ch_diag["n_components"] = system.n_components
-        side_diag["channels"][name] = ch_diag
+        fits.append(fit)
 
     p_plus = sum(s.n_components for s in univariate_systems)
     if p_plus == 0:
@@ -313,21 +312,43 @@ def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label,
                                          _capped(rule, min(len(subject_ids) - 1, p_plus)))
         side_scores = project_multivariate(curves, multivariate)
 
-    side_diag["multivariate_eigenvalues"] = multivariate.eigenvalues.tolist()
-    side_diag["multivariate_fve"] = fve_table(multivariate.eigenvalues)
-    side_diag["n_components"] = multivariate.n_components
-    diagnostics[side_label] = side_diag
-
     side = SideModel(grid, tuple(names), tuple(standardizations),
                      tuple(univariate_systems), multivariate)
-    return side, side_scores
+    return side, side_scores, fits
+
+
+def side_report(side: SideModel, fits=()) -> dict:
+    """Eigenvalues, cumulative FVE and component count of each channel, in
+    order and merged with its dict in ``fits`` if given, and of the side."""
+    lam = side.multivariate.eigenvalues
+    return {
+        "channels": [{"channel": system.channel,
+                      "eigenvalues": system.eigenvalues.tolist(),
+                      "fve": cumulative_fve(system.eigenvalues).tolist(),
+                      "n_components": system.n_components,
+                      **(fits[c] if fits else {})}
+                     for c, system in enumerate(side.univariate)],
+        "multivariate_eigenvalues": lam.tolist(),
+        "multivariate_fve": cumulative_fve(lam).tolist(),
+        "n_components": side.multivariate.n_components,
+    }
+
+
+def fpca_report(model: TrainedModel) -> dict:
+    """The spectra of both sides of a model, its L and P, and its regressor kind."""
+    return {
+        "covariate_side": side_report(model.covariate_side),
+        "response_side": side_report(model.response_side),
+        "L": model.n_inputs,
+        "P": model.n_outputs,
+        "regressor": model.regressor_kind,
+    }
 
 
 def train_pipeline(data: FunctionalDataset, config: PipelineConfig):
     """Train the full model; returns (TrainedModel, diagnostics dict)."""
     if data.responses is None:
         raise PipelineError("input", ChannelMismatch("training data has no responses"))
-    diagnostics = {}
 
     cov_channels = [data.covariate_channel(r) for r in range(data.n_covariates)]
     res_channels = [data.response_channel(d) for d in range(data.n_responses)]
@@ -339,12 +360,14 @@ def train_pipeline(data: FunctionalDataset, config: PipelineConfig):
         for series_set, name in zip(channels, names):
             _check_coverage(series_set, domain, name)
 
-    cov_side, inputs = _fit_side(cov_channels, data.covariate_names, data.covariate_domain,
-                                 config.grid_size_s, config.kernel_x, config.truncation_x,
-                                 "covariate", data.subject_ids, diagnostics)
-    res_side, targets = _fit_side(res_channels, data.response_names, data.response_domain,
-                                  config.grid_size_t, config.kernel_y, config.truncation_y,
-                                  "response", data.subject_ids, diagnostics)
+    cov_side, inputs, cov_fits = _fit_side(
+        cov_channels, data.covariate_names, data.covariate_domain, config.grid_size_s,
+        config.kernel_x, config.truncation_x, "covariate", data.subject_ids)
+    res_side, targets, res_fits = _fit_side(
+        res_channels, data.response_names, data.response_domain, config.grid_size_t,
+        config.kernel_y, config.truncation_y, "response", data.subject_ids)
+    diagnostics = {"covariate": side_report(cov_side, cov_fits),
+                   "response": side_report(res_side, res_fits)}
 
     l = cov_side.multivariate.n_components
     p = res_side.multivariate.n_components
@@ -573,6 +596,10 @@ def _regressor_from_dict(d: dict, l: int, p: int):
     """The regressor of an artifact, checked to map L input scores to P outputs."""
     if d["kind"] == "fflm":
         return "fflm", FflmParams(_array(d["B"], (p, l), "regressor.B"))
+    if d["kind"] != "nn":
+        raise ValueError(f"unknown regressor kind {d['kind']!r}")
+    if d["hidden_activation"] not in ACTIVATIONS:
+        raise ValueError(f"unknown hidden activation {d['hidden_activation']!r}")
     dims = [l, *(len(w) for w in d["weights"][:-1]), p]
     if not len(d["weights"]) == len(d["biases"]) == len(dims) - 1:
         raise ValueError("regressor weights and biases differ in layer count")

@@ -137,6 +137,7 @@ class TestTrain:
         '{"pipeline": {"train": {"seed": 99}}}',
         '{"pipeline": {"train": {"val_fraction": 0.2}}}',
         '{"pipeline": {"train": {"early_stop_patience": 5}}}',
+        '{"pipeline": {"hidden_widths": [0]}}',
         '5',
         '{broken',
     ])
@@ -150,6 +151,18 @@ class TestTrain:
         assert code == 2
         assert_one_error_line(err)
         assert not (tmp / "m.json").exists()
+
+    def test_diagnostics_are_deterministic(self, synthesized, capsys):
+        tmp, out_dir = synthesized
+        (tmp / "config.json").write_text('{"pipeline": {"train": {"epochs": 20}}}')
+        for name in ("a", "b"):
+            code, _, _ = run(capsys, "train", "--config", str(tmp / "config.json"),
+                             "--data", str(out_dir / "data.csv"),
+                             "--schema", str(out_dir / "schema.json"),
+                             "--model-out", str(tmp / f"m_{name}.json"),
+                             "--diagnostics-out", str(tmp / f"d_{name}.json"), "--seed", "3")
+            assert code == 0
+        assert (tmp / "d_a.json").read_bytes() == (tmp / "d_b.json").read_bytes()
 
     def test_unwritable_model_out_exit_2(self, synthesized, capsys):
         tmp, out_dir = synthesized

@@ -13,6 +13,7 @@ from fofr.errors import (
 )
 from fofr.fpca import (
     TruncationRule,
+    cumulative_fve,
     multivariate_fpca,
     project_multivariate,
     project_univariate,
@@ -44,6 +45,14 @@ class TestSelectTruncation:
     def test_cap(self):
         lam = np.array([0.4, 0.3, 0.2, 0.1])
         assert select_truncation(lam, TruncationRule(0.999, max_components=2)) == 2
+
+    def test_keeps_the_first_component_whose_reported_fve_reaches_the_cutoff(self):
+        lam = np.array([5.0, 2.5, 1.5, 0.7, 0.3])
+        fve = cumulative_fve(lam)
+        np.testing.assert_array_equal(fve, np.cumsum(lam) / np.sum(lam))
+        for k, share in enumerate(fve, start=1):
+            assert select_truncation(lam, TruncationRule(float(share))) == k
+        assert cumulative_fve(np.zeros(0)).tolist() == []
 
     def test_empty(self):
         with pytest.raises(EmptySpectrum):

@@ -69,8 +69,21 @@ class TestTrain:
         assert set(diag) >= {"covariate", "response", "regressor",
                              "n_inputs", "n_outputs"}
         cov = diag["covariate"]
-        assert set(cov["bandwidths"]) == {"x1", "x2"}
-        assert cov["multivariate_fve"][-1]["fve"] == pytest.approx(1.0)
+        assert [ch["channel"] for ch in cov["channels"]] == ["x1", "x2"]
+        assert all(ch["bandwidth_mean"] > 0 and ch["bandwidth_cov"] > 0
+                   for ch in cov["channels"])
+        assert cov["multivariate_fve"][-1] == pytest.approx(1.0)
+
+    def test_report_is_the_spectrum_of_the_diagnostics(self, fflm_model):
+        model, diag = fflm_model
+        report = pipeline.fpca_report(model)
+        fit_keys = {"bandwidth_mean", "bandwidth_cov", "variance_floor",
+                    "n_variance_clipped", "warning"}
+        for side in ("covariate", "response"):
+            spectrum = {**diag[side], "channels": [
+                {k: v for k, v in ch.items() if k not in fit_keys}
+                for ch in diag[side]["channels"]]}
+            assert report[f"{side}_side"] == spectrum
 
     def test_nn_regressor_trains(self, small_linear):
         data, _ = small_linear
@@ -90,8 +103,8 @@ class TestTrain:
         monkeypatch.setattr(pipeline, "univariate_fpca", fpca)
         data, _ = small_linear
         model, diag = train_pipeline(data, PipelineConfig(regressor="fflm"))
-        x2 = diag["covariate"]["channels"]["x2"]
-        assert x2["warning"] == "empty spectrum"
+        x2 = diag["covariate"]["channels"][1]
+        assert x2["channel"] == "x2" and x2["warning"] == "empty spectrum"
         assert x2["n_components"] == 0 and x2["eigenvalues"] == [] and x2["fve"] == []
         assert model.covariate_side.univariate[1].eigenfunctions.shape == (0, 101)
         assert model.covariate_side.multivariate.block_widths[1] == 0
@@ -103,6 +116,15 @@ class TestTrain:
                     {"hidden_widths": ["x"]}, {"ridge": -1.0}):
             with pytest.raises(BadConfig):
                 PipelineConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("widths", [[0], [16, -2], [1.5], [True], ["16"]])
+    def test_hidden_widths_must_be_integers_of_at_least_one(self, widths):
+        with pytest.raises(BadConfig, match="hidden_widths"):
+            PipelineConfig.from_dict({"hidden_widths": widths})
+
+    def test_numpy_integer_hidden_widths(self):
+        widths = PipelineConfig(hidden_widths=np.array([8, 4])).hidden_widths
+        assert widths == (8, 4) and all(type(w) is int for w in widths)
 
     def test_requires_responses(self, small_linear):
         data, _ = small_linear
@@ -426,6 +448,17 @@ class TestPersistence:
     def test_inconsistent_shapes(self, model, edit, named, request, tmp_path):
         doc = model_to_dict(request.getfixturevalue(model)[0])
         edit(doc["payload"])
+        self._write_resigned(doc, tmp_path / "model.json")
+        with pytest.raises(CorruptArtifact, match=named):
+            load_model(tmp_path / "model.json")
+
+    @pytest.mark.parametrize("model, edit, named", [
+        ("fflm_model", {"kind": "linear"}, "unknown regressor kind 'linear'"),
+        ("nn_model", {"hidden_activation": "sigmoid"}, "unknown hidden activation 'sigmoid'"),
+    ])
+    def test_unknown_regressor(self, model, edit, named, request, tmp_path):
+        doc = model_to_dict(request.getfixturevalue(model)[0])
+        doc["payload"]["regressor"].update(edit)
         self._write_resigned(doc, tmp_path / "model.json")
         with pytest.raises(CorruptArtifact, match=named):
             load_model(tmp_path / "model.json")
