@@ -16,6 +16,7 @@ import sys
 
 from fofr.core import (
     PREDICTIONS_HEADER,
+    _json_object,
     _read_json,
     _read_series,
     _write_long_csv,
@@ -28,7 +29,6 @@ from fofr.errors import BadConfig, FofrError, InputError
 from fofr.pipeline import (
     MetricsReport,
     PipelineConfig,
-    _json_object,
     _score_series,
     fpca_report,
     load_model,
@@ -46,11 +46,6 @@ _RUN_CONFIG_KEYS = {"data": str, "schema": str, "model_out": str, "diagnostics_o
                     "split": dict, "pipeline": dict}
 _SPLIT_KEYS = {"test_fraction": (int, float), "seed": int, "test_ids_out": str,
                "test_data_out": str}
-
-
-def _load_json(path) -> dict:
-    """A run configuration: a JSON object with the keys of ``_RUN_CONFIG_KEYS``."""
-    return _json_object(_read_json(path, BadConfig), "config", _RUN_CONFIG_KEYS)
 
 
 def cmd_synth(args) -> int:
@@ -95,36 +90,34 @@ def _build_pipeline_config(cfg: dict, args, grid_size: int) -> PipelineConfig:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
+    cfg = (_json_object(_read_json(args.config, BadConfig), "config", _RUN_CONFIG_KEYS)
+           if args.config else {})
     data_path = args.data or cfg.get("data")
     schema_path = args.schema or cfg.get("schema")
     model_out = args.model_out or cfg.get("model_out")
     diagnostics_out = args.diagnostics_out or cfg.get("diagnostics_out")
     if not data_path or not schema_path or not model_out:
         raise BadConfig("train needs data, schema and model_out (via --config or flags)")
-    paths = [p for p in (data_path, schema_path, model_out, diagnostics_out) if p]
+    split = _json_object(cfg.get("split", {}), "config.split", _SPLIT_KEYS)
+    frac, seed = split.get("test_fraction", 0.0), split.get("seed", 0)
+    if not 0.0 <= frac <= 0.5 or seed < 0:
+        raise BadConfig(f"split needs test_fraction in [0, 0.5] and seed >= 0, "
+                        f"got {frac} and {seed}")
+    ids_out, data_out = split.get("test_ids_out"), split.get("test_data_out")
+    paths = [os.path.realpath(p) for p in
+             (data_path, schema_path, model_out, diagnostics_out, ids_out, data_out) if p]
     if len(set(paths)) != len(paths):
         raise BadConfig("data, schema and output paths must be distinct")
 
     schema = load_schema(schema_path)
     dataset = load_dataset(data_path, schema)
-
-    split = cfg.get("split")
-    if split is not None:
-        _json_object(split, "config.split", _SPLIT_KEYS)
-        frac, seed = split.get("test_fraction", 0.0), split.get("seed", 0)
-        if not 0.0 <= frac <= 0.5 or seed < 0:
-            raise BadConfig(f"split needs test_fraction in [0, 0.5] and seed >= 0, "
-                            f"got {frac} and {seed}")
-        if frac > 0:
-            dataset, test_set = split_subjects(dataset, frac, seed)
-            ids_out = split.get("test_ids_out")
-            if ids_out:
-                with open(ids_out, "w", encoding="utf-8") as fh:
-                    fh.write("\n".join(test_set.subject_ids) + "\n")
-            data_out = split.get("test_data_out")
-            if data_out:
-                write_dataset(test_set, data_out)
+    if frac > 0:
+        dataset, test_set = split_subjects(dataset, frac, seed)
+        if ids_out:
+            with open(ids_out, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(test_set.subject_ids) + "\n")
+        if data_out:
+            write_dataset(test_set, data_out)
 
     config = _build_pipeline_config(cfg, args, schema.grid_size)
     model, diagnostics = train_pipeline(dataset, config)

@@ -11,13 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import typing
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass, replace
 from itertools import chain, repeat
 
 import numpy as np
 
 from fofr.errors import (
+    BadConfig,
     BadGridSize,
     DomainViolation,
     DuplicateTimestamp,
@@ -253,16 +255,8 @@ class DatasetSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSchema":
-        try:
-            return cls(
-                covariates=d["covariates"],
-                responses=d["responses"],
-                covariate_domain=Interval(*map(float, d["covariate_domain"])),
-                response_domain=Interval(*map(float, d["response_domain"])),
-                grid_size=int(d.get("grid_size", 101)),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise MalformedRow(f"bad schema: {exc}") from exc
+        """A schema from a JSON object; raises MalformedRow."""
+        return _config_from_json(cls, d, "schema", MalformedRow)
 
 
 def _read_json(path, error: type):
@@ -272,6 +266,52 @@ def _read_json(path, error: type):
             return json.load(fh)
         except ValueError as exc:
             raise error(f"{path}: invalid JSON ({exc})") from exc
+
+
+#: JSON types that a field of each annotated type accepts; a field whose type
+#: is any other dataclass is a nested JSON object
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), tuple: (list,),
+               Interval: (list,), type(None): (type(None),)}
+_JSON_WORDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object", type(None): "null"}
+
+
+def _json_object(value, name: str, types: dict, error: type = BadConfig) -> dict:
+    """``value``, checked to be a JSON object whose keys ``types`` maps to the
+    JSON types of their values (a bool is not a number); raises ``error``."""
+    if not isinstance(value, dict):
+        raise error(f"{name} must be a JSON object, got {type(value).__name__}")
+    for key, v in value.items():
+        if key not in types:
+            raise error(f"{name}: unknown key {key!r}")
+        allowed = types[key] if isinstance(types[key], tuple) else (types[key],)
+        if not isinstance(v, allowed) or isinstance(v, bool) and bool not in allowed:
+            words = " or ".join(_JSON_WORDS[t] for t in allowed
+                                if not (t is int and float in allowed))
+            raise error(f"{name}.{key} must be {words}, got {type(v).__name__}")
+    return value
+
+
+def _config_from_json(cls, value, name: str, error: type = BadConfig, base=None):
+    """The dataclass ``cls``, or ``base`` with fields replaced, built from a JSON
+    object with nested dataclass sections and ``[lo, hi]`` Intervals; the JSON
+    types allowed come from the field annotations.  Raises ``error``."""
+    hints = typing.get_type_hints(cls)
+    types = {key: sum((_JSON_TYPES[t] for t in typing.get_args(hint) or (hint,)), ())
+             if hint in _JSON_TYPES or not is_dataclass(hint) else dict
+             for key, hint in hints.items()}
+    kw = {key: _config_from_json(hints[key], v, f"{name}.{key}", error)
+          if types[key] is dict else v
+          for key, v in _json_object(value, name, types, error).items()}
+    try:
+        for key in [key for key in kw if hints[key] is Interval]:
+            if len(kw[key]) != 2 or not all(isinstance(b, (int, float))
+                                            and not isinstance(b, bool) for b in kw[key]):
+                raise TypeError(f"{key} must be a list of two numbers [lo, hi], got {kw[key]!r}")
+            kw[key] = Interval(*map(float, kw[key]))
+        return cls(**kw) if base is None else replace(base, **kw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name}: {exc}") from exc
 
 
 def load_schema(path) -> DatasetSchema:

@@ -57,9 +57,11 @@ class BadGridSize(InputError):
 
 
 class BadConfig(InputError, ValueError):
-    """A run configuration that is not valid JSON, has a section that is not
-    an object, an unknown key, or a value of the wrong type or range.  Also a
-    ValueError, like the bad arguments it reports."""
+    """A run configuration (its top level, ``split`` or ``pipeline``) that is
+    not valid JSON, is not an object, has an unknown key or a value of the
+    wrong JSON type or range, or names one path twice.  Also a ValueError,
+    like the bad arguments it reports.  Schema and scenario files are read by
+    the same reader but raise ``MalformedRow`` and ``BadScenario``."""
 
 
 # --- smoothing ---

@@ -14,8 +14,7 @@ import contextlib
 import hashlib
 import json
 import logging
-import typing
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from fofr.core import (
     FunctionalDataset,
     Interval,
     _check_coverage,
+    _config_from_json,
     _first_outside,
     _read_json,
     make_grid,
@@ -55,11 +55,11 @@ from fofr.fpca import (
     univariate_fpca,
 )
 from fofr.regression import (
-    ACTIVATIONS,
     FflmParams,
     NetworkParams,
     NetworkSpec,
     TrainConfig,
+    _checked_hidden,
     count_params,
     fit_fflm,
     forward,
@@ -99,15 +99,10 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        widths = tuple(self.hidden_widths)
-        if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 1
-                   for w in widths):
-            raise ValueError(f"hidden_widths must be integers >= 1, got {list(widths)}")
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in widths))
+        object.__setattr__(self, "hidden_widths",
+                           _checked_hidden(self.hidden_widths, self.hidden_activation))
         if self.regressor not in ("nn", "fflm"):
             raise ValueError(f"regressor must be 'nn' or 'fflm', got {self.regressor!r}")
-        if self.hidden_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.hidden_activation!r}")
         if not (0 <= self.ridge < np.inf and self.seed >= 0):
             raise ValueError("ridge must be finite and non-negative, seed non-negative")
         # the network trains with ``seed``, and validates only with both knobs
@@ -125,39 +120,6 @@ class PipelineConfig:
     def from_dict(cls, d: dict) -> "PipelineConfig":
         """The ``pipeline`` section of a run configuration; raises BadConfig."""
         return _config_from_json(cls, d, "pipeline")
-
-
-#: JSON types that a config field of each annotated type accepts
-_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: list, type(None): type(None)}
-
-
-def _json_object(value, name: str, types: dict) -> dict:
-    """``value``, checked to be a JSON object whose keys ``types`` maps to the
-    JSON types of their values; raises BadConfig."""
-    if not isinstance(value, dict):
-        raise BadConfig(f"{name} must be a JSON object, got {type(value).__name__}")
-    for key, v in value.items():
-        if key not in types:
-            raise BadConfig(f"{name}: unknown key {key!r}")
-        if isinstance(v, bool) or not isinstance(v, types[key]):
-            raise BadConfig(f"{name}.{key}: wrong type {type(v).__name__}")
-    return value
-
-
-def _config_from_json(cls, value, name: str):
-    """The config dataclass ``cls`` built from a JSON object, with its nested
-    config sections; the JSON types allowed come from the field annotations."""
-    hints = typing.get_type_hints(cls)
-    types = {key: dict if is_dataclass(hint)
-             else tuple(_JSON_TYPES[t] for t in typing.get_args(hint) or (hint,))
-             for key, hint in hints.items()}
-    kw = {key: _config_from_json(hints[key], v, f"{name}.{key}")
-          if is_dataclass(hints[key]) else v
-          for key, v in _json_object(value, name, types).items()}
-    try:
-        return cls(**kw)
-    except (TypeError, ValueError) as exc:
-        raise BadConfig(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -598,8 +560,6 @@ def _regressor_from_dict(d: dict, l: int, p: int):
         return "fflm", FflmParams(_array(d["B"], (p, l), "regressor.B"))
     if d["kind"] != "nn":
         raise ValueError(f"unknown regressor kind {d['kind']!r}")
-    if d["hidden_activation"] not in ACTIVATIONS:
-        raise ValueError(f"unknown hidden activation {d['hidden_activation']!r}")
     dims = [l, *(len(w) for w in d["weights"][:-1]), p]
     if not len(d["weights"]) == len(d["biases"]) == len(dims) - 1:
         raise ValueError("regressor weights and biases differ in layer count")

@@ -32,13 +32,10 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        object.__setattr__(self, "hidden_widths",
+                           _checked_hidden(self.hidden_widths, self.hidden_activation))
         if self.input_dim < 1 or self.output_dim < 1:
             raise ShapeMismatch("input_dim and output_dim must be >= 1")
-        if any(w < 1 for w in self.hidden_widths):
-            raise ShapeMismatch("hidden widths must be >= 1")
-        if self.hidden_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.hidden_activation!r}")
 
     @property
     def layer_dims(self) -> list:
@@ -52,6 +49,22 @@ class NetworkParams:
     weights: list
     biases: list
     hidden_activation: str = "elu"
+
+    def __post_init__(self):
+        _checked_hidden((), self.hidden_activation)
+
+
+def _checked_hidden(hidden_widths, hidden_activation: str) -> tuple:
+    """``hidden_widths`` as a tuple of ints, once each width is checked to be
+    an integer >= 1 (a numpy integer passes; a bool, float or string does
+    not) and ``hidden_activation`` to be one of ACTIVATIONS; raises ValueError."""
+    widths = tuple(hidden_widths)
+    if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 1
+               for w in widths):
+        raise ValueError(f"hidden_widths must be integers >= 1, got {list(widths)}")
+    if hidden_activation not in ACTIVATIONS:
+        raise ValueError(f"unknown hidden activation {hidden_activation!r}")
+    return tuple(int(w) for w in widths)
 
 
 @dataclass(frozen=True)

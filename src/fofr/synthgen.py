@@ -20,6 +20,8 @@ from fofr.core import (
     FunctionalDataset,
     Interval,
     ObservationSeries,
+    _config_from_json,
+    _json_object,
     _read_json,
     make_grid,
 )
@@ -47,8 +49,11 @@ class SynthScenario:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues_x", tuple(float(v) for v in self.eigenvalues_x))
-        object.__setattr__(self, "eigenvalues_y", tuple(float(v) for v in self.eigenvalues_y))
+        for name in ("eigenvalues_x", "eigenvalues_y"):
+            lams = tuple(getattr(self, name))
+            if not all(map(_is_real, lams)):
+                raise BadScenario(f"{name} must be numbers, got {list(lams)!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in lams))
         object.__setattr__(self, "sampling", tuple(self.sampling))
         self._validate()
 
@@ -56,7 +61,7 @@ class SynthScenario:
         for name in ("n_subjects", "covariate_channels", "response_channels",
                      "fourier_order_x", "fourier_order_y", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if not _is_int(value) or value < 0:
                 raise BadScenario(f"{name} must be a non-negative integer, got {value!r}")
         if self.n_subjects < 2:
             raise BadScenario("need at least 2 subjects")
@@ -81,14 +86,16 @@ class SynthScenario:
             raise BadScenario("quadratic mapping needs P <= 2L")
         if self.noise_sd < 0:
             raise BadScenario("noise_sd must be >= 0")
-        kind = self.sampling[0]
+        kind, *design = self.sampling or (None,)
         if kind == "dense":
-            if len(self.sampling) != 2 or int(self.sampling[1]) < 2:
-                raise BadScenario("dense sampling needs ('dense', points>=2)")
+            if len(design) != 1 or not _is_int(design[0]) or design[0] < 2:
+                raise BadScenario("dense sampling needs ('dense', points>=2), "
+                                  f"got {list(self.sampling)!r}")
         elif kind == "irregular":
-            if (len(self.sampling) != 3 or not 0 < float(self.sampling[1]) < np.inf
-                    or int(self.sampling[2]) < 2):
-                raise BadScenario("irregular sampling needs ('irregular', rate>0, min_points>=2)")
+            if (len(design) != 2 or not _is_real(design[0]) or not 0 < design[0] < np.inf
+                    or not _is_int(design[1]) or design[1] < 2):
+                raise BadScenario("irregular sampling needs ('irregular', rate>0, min_points>=2), "
+                                  f"got {list(self.sampling)!r}")
         else:
             raise BadScenario(f"unknown sampling kind {kind!r}")
 
@@ -98,6 +105,14 @@ class SynthScenario:
                  self.fourier_order_x, self.eigenvalues_x),
                 ("response", self.response_domain, self.response_channels,
                  self.fourier_order_y, self.eigenvalues_y))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class PlantedBasis:
@@ -199,9 +214,9 @@ def _draw_series(scenario: SynthScenario, basis: PlantedBasis, channel: int,
     """One subject's series on one channel: times, planted mean + scores·basis, noise."""
     lo, hi = basis.domain.lo, basis.domain.hi
     if scenario.sampling[0] == "dense":
-        times = np.linspace(lo, hi, int(scenario.sampling[1]))
+        times = np.linspace(lo, hi, scenario.sampling[1])
     else:
-        rate, min_points = float(scenario.sampling[1]), int(scenario.sampling[2])
+        _, rate, min_points = scenario.sampling
         times = np.sort(rng.uniform(lo, hi, size=max(int(rng.poisson(rate)), min_points)))
     values = (_mean_function(basis.domain, channel, scenario.mean_scale, times)
               + np.einsum("p,pt->t", scores, basis.eval(times)[:, channel, :]))
@@ -269,34 +284,28 @@ def drop_observations(dataset: FunctionalDataset, fraction: float, seed: int,
     return replace(dataset, covariates=covariates, responses=responses)
 
 
+#: the keys of a ``sampling`` object, in the order of the list form, and their JSON types
+_SAMPLING_KEYS = {"kind": str, "points": int, "rate": (int, float), "min_points": int}
+
+
 def scenario_from_dict(d: dict) -> SynthScenario:
-    try:
-        kwargs = dict(d)
-        preset = kwargs.pop("preset", None)
-        if preset is not None:
-            kwargs = {**preset_scenario(preset).__dict__, **kwargs}
-        for name in ("covariate_domain", "response_domain"):
-            if name in kwargs and not isinstance(kwargs[name], Interval):
-                kwargs[name] = Interval(*map(float, kwargs[name]))
-        sampling = kwargs.get("sampling")
-        if isinstance(sampling, dict):
-            kind = sampling.get("kind")
-            if kind == "dense":
-                kwargs["sampling"] = (kind, int(sampling["points"]))
-            elif kind == "irregular":
-                kwargs["sampling"] = (kind, float(sampling["rate"]), int(sampling["min_points"]))
-            else:
-                raise BadScenario(f"unknown sampling kind {kind!r}")
-        return SynthScenario(**kwargs)
-    except (TypeError, LookupError, ValueError, OverflowError) as exc:
-        raise BadScenario(f"bad scenario: {exc}") from exc
+    """A scenario from a JSON object of ``SynthScenario`` fields, which replace
+    those of its ``preset``, if any; ``sampling`` may also be an object."""
+    base = None
+    if isinstance(d, dict):
+        d = dict(d)
+        if "preset" in d:
+            base = preset_scenario(d.pop("preset"))
+        sampling = d.get("sampling")
+        if isinstance(sampling, dict):  # ground_truth.json records its rate as a float
+            _json_object(sampling, "scenario.sampling", _SAMPLING_KEYS, BadScenario)
+            d["sampling"] = [float(sampling[k]) if k == "rate" else sampling[k]
+                             for k in _SAMPLING_KEYS if k in sampling]
+    return _config_from_json(SynthScenario, d, "scenario", BadScenario, base)
 
 
 def load_scenario(path) -> SynthScenario:
-    payload = _read_json(path, BadScenario)
-    if not isinstance(payload, dict):
-        raise BadScenario(f"{path}: scenario must be a JSON object")
-    return scenario_from_dict(payload)
+    return scenario_from_dict(_read_json(path, BadScenario))
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
@@ -332,7 +341,7 @@ def preset_scenario(name: str) -> SynthScenario:
         "dense": dict(mapping="linear", noise_sd=0.15, sampling=("dense", 61), seed=31),
         "quadratic": dict(mapping="quadratic", noise_sd=0.05, sampling=("dense", 31), seed=47),
     }
-    if name not in changes:
+    if not isinstance(name, str) or name not in changes:
         raise BadScenario(f"unknown preset {name!r}")
     return SynthScenario(n_subjects=500, covariate_channels=2, response_channels=2,
                          fourier_order_x=2, fourier_order_y=2,

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -103,6 +104,26 @@ class TestTrain:
                          "--schema", str(out_dir / "schema.json"),
                          "--model-out", str(out_dir / "data.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("split_out, path, spelling", [
+        ("test_data_out", "data", ""), ("test_ids_out", "model_out", ""),
+        ("test_data_out", "data", "./")])
+    def test_split_output_over_another_path_exit_2(self, synthesized, split_out, path, spelling,
+                                                   capsys):
+        tmp, out_dir = synthesized
+        config = {"data": str(out_dir / "data.csv"), "schema": str(out_dir / "schema.json"),
+                  "model_out": str(tmp / "model.json"),
+                  "split": {"test_fraction": 0.25, "seed": 4}}
+        head, name = os.path.split(config[path])
+        config["split"][split_out] = os.path.join(head, spelling + name)
+        (tmp / "config.json").write_text(json.dumps(config))
+        data = (out_dir / "data.csv").read_text()
+        code, _, err = run(capsys, "train", "--config", str(tmp / "config.json"),
+                           "--baseline", "fflm")
+        assert code == 2
+        assert_one_error_line(err)
+        assert (out_dir / "data.csv").read_text() == data
+        assert not (tmp / "model.json").exists()
 
     def test_config_file_with_split(self, synthesized, capsys):
         tmp, out_dir = synthesized

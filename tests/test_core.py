@@ -123,6 +123,21 @@ class TestSchema:
         with pytest.raises(MalformedRow, match="responses must be a list"):
             DatasetSchema.from_dict(dict(d, covariates=["x1"], responses="y1"))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("grid_size", "7", "grid_size must be an integer, got str"),
+        ("grid_size", 40.9, "grid_size must be an integer, got float"),
+        ("grid_size", True, "grid_size must be an integer, got bool"),
+        ("grid_sise", 51, "unknown key 'grid_sise'"),
+        ("covariate_domain", ["0", 1], r"covariate_domain must be a list of two numbers"),
+        ("covariate_domain", [0, True], r"covariate_domain must be a list of two numbers"),
+        ("response_domain", [0, 1, 2], r"response_domain must be a list of two numbers"),
+    ])
+    def test_rejects_values_it_used_to_coerce(self, key, value, message):
+        d = {"covariates": ["x1"], "responses": ["y1"],
+             "covariate_domain": [0, 1], "response_domain": [0, 1]}
+        with pytest.raises(MalformedRow, match=message):
+            DatasetSchema.from_dict({**d, key: value})
+
 
     @pytest.mark.parametrize("bad_id", [1, 2.5, None, float("nan"), ["x1"]])
     def test_rejects_non_string_variable_id(self, bad_id):

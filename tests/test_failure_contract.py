@@ -3,7 +3,8 @@
 Each test mutates one kind of input (long CSV, schema, run config, scenario,
 model artifact) and runs the command that reads it through ``cli.main``.
 Whatever the input, the command exits 0, 2 or 3; a failure prints exactly
-one stderr line, starting with ``error:``, and no traceback.
+one stderr line, starting with ``error:``, and no traceback.  A JSON value
+of the wrong type, and a key the input does not know, exit 2.
 """
 
 import contextlib
@@ -12,12 +13,19 @@ import hashlib
 import io
 import json
 import os
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fofr.cli import main
+from fofr.core import DatasetSchema
+from fofr.fpca import TruncationRule
+from fofr.pipeline import PipelineConfig
+from fofr.regression import TrainConfig
+from fofr.smoothing import KernelSpec
+from fofr.synthgen import SynthScenario
 
 #: small values only: a mutation must not ask for a huge grid or dataset
 VALUES = [None, True, -1, 0, 1, 3, 0.5, 2.5, float("nan"), float("inf"), "", "x", "plugin",
@@ -25,6 +33,37 @@ VALUES = [None, True, -1, 0, 1, 3, 0.5, 2.5, float("nan"), float("inf"), "", "x"
 #: garbled fields; quotes, carriage returns and NULs send the file to csv.reader
 FIELDS = ["", "x", "nan", "inf", "-1e400", "0", "-0.5", "2", "s0001", "x1", "y2",
           "covariate", "response", "a,b", '"', "\r", "\0", '"s0001"', 'a"b']
+#: a scenario that names every field of SynthScenario, with the object form of sampling
+SCENARIO = {"preset": "linear", "n_subjects": 20, "covariate_channels": 2,
+            "response_channels": 2, "fourier_order_x": 2, "fourier_order_y": 2,
+            "eigenvalues_x": [1, 0.75, 0.5625, 0.421875], "eigenvalues_y": [1, 0.75, 0.5625],
+            "mapping": "linear", "noise_sd": 0.1,
+            "sampling": {"kind": "irregular", "rate": 8, "min_points": 3},
+            "covariate_domain": [0, 2], "response_domain": [0, 1], "mix_channels": True,
+            "mean_scale": 1.0, "seed": 3}
+#: per input, a value of a wrong JSON type for every key (dotted where nested),
+#: and for a key the input does not know
+WRONG_TYPES = {
+    "schema": {"covariates": "x1", "responses": {"y1": 1}, "covariate_domain": "0,1",
+               "response_domain": ["0", 1], "grid_size": "7", "grid_sise": 51},
+    "scenario": {"preset": 1, "n_subjects": "20", "covariate_channels": 2.0,
+                 "response_channels": True, "fourier_order_x": "2", "fourier_order_y": [2],
+                 "eigenvalues_x": "1 0.5", "eigenvalues_y": 1.0, "mapping": 1,
+                 "noise_sd": "0.1", "sampling": "dense", "sampling.kind": 1,
+                 "sampling.rate": "8", "sampling.min_points": 3.5, "sampling.points": "21",
+                 "covariate_domain": "0-2", "response_domain": [0, True],
+                 "mix_channels": "no", "mean_scale": "2", "seed": 3.0, "wavelength": 3},
+    "pipeline": {"grid_size_s": "101", "grid_size_t": 101.0, "kernel_x": "gaussian",
+                 "kernel_y": [1], "truncation_x": 0.99, "truncation_y": "x", "regressor": 1,
+                 "hidden_widths": 16, "hidden_activation": ["elu"], "train": 1, "ridge": "0",
+                 "seed": True, "kernel_x.family": 1, "kernel_x.bandwidth_mean": True,
+                 "kernel_x.bandwidth_cov": [0.1], "truncation_x.fve_cutoff": "0.9",
+                 "truncation_x.max_components": 2.5, "train.epochs": "many",
+                 "train.batch_size": 32.0, "train.learning_rate": "0.01", "train.optimizer": 1,
+                 "train.momentum": True, "train.adam_beta1": "0.9", "train.adam_beta2": [0.999],
+                 "train.adam_eps": {}, "train.early_stop_patience": "5",
+                 "train.val_fraction": False, "train.seed": 0.0, "bogus": 1, "train.bogus": 1},
+}
 
 
 def fuzz(max_examples):
@@ -46,6 +85,7 @@ def run(cwd, *argv):
     if code:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -167,12 +207,46 @@ def test_run_config(base, data):
 @fuzz(10)
 @given(st.data())
 def test_scenario(base, data):
-    scenario = {"preset": "linear", "n_subjects": 20, "noise_sd": 0.1, "seed": 3,
-                "sampling": {"kind": "irregular", "rate": 8, "min_points": 3},
-                "covariate_domain": [0, 2]}
     bad = base["work"] / "scenario.json"
-    bad.write_text(json.dumps(mutate_json(data.draw, scenario)))
+    bad.write_text(json.dumps(mutate_json(data.draw, SCENARIO)))
     run(base["work"], "synth", "--scenario", bad, "--out-dir", "synth")
+
+
+def test_wrong_types_name_every_key():
+    def keys(cls, prefix=""):
+        return {prefix + f.name for f in fields(cls)}
+
+    assert set(SCENARIO) == keys(SynthScenario) | {"preset"}
+    assert set(WRONG_TYPES["schema"]) == keys(DatasetSchema) | {"grid_sise"}
+    assert set(WRONG_TYPES["scenario"]) == set(SCENARIO) | {
+        "sampling.kind", "sampling.rate", "sampling.min_points", "sampling.points",
+        "wavelength"}
+    assert set(WRONG_TYPES["pipeline"]) == (
+        keys(PipelineConfig) | keys(KernelSpec, "kernel_x.")
+        | keys(TruncationRule, "truncation_x.") | keys(TrainConfig, "train.")
+        | {"bogus", "train.bogus"})
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    (kind, key, value) for kind, table in WRONG_TYPES.items() for key, value in table.items()])
+def test_wrong_json_type_exits_2(base, kind, key, value):
+    doc = {"schema": json.loads(base["schema"].read_text()),
+           "scenario": copy.deepcopy(SCENARIO), "pipeline": {}}[kind]
+    *path, last = key.split(".")
+    node = doc
+    for name in path:
+        node = node.setdefault(name, {})
+    node[last] = value
+    bad = base["work"] / f"{kind}.json"
+    bad.write_text(json.dumps({"pipeline": doc} if kind == "pipeline" else doc))
+    argv = {
+        "schema": ("train", "--data", base["data"], "--schema", bad,
+                   "--model-out", "m.json", "--baseline", "fflm"),
+        "scenario": ("synth", "--scenario", bad, "--out-dir", "synth"),
+        "pipeline": ("train", "--config", bad, "--data", base["data"],
+                     "--schema", base["schema"], "--model-out", "m.json"),
+    }[kind]
+    assert run(base["work"], *argv) == 2
 
 
 @fuzz(16)

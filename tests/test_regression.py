@@ -209,6 +209,24 @@ class TestForward:
         assert all(np.all(b_ == 0) for b_ in a.biases)
 
 
+class TestNetworkSettings:
+    @pytest.mark.parametrize("widths", [(1.5,), (True,), ("16",), (0,), (4, -1)])
+    def test_hidden_widths_must_be_integers_of_at_least_one(self, widths):
+        with pytest.raises(ValueError, match="hidden_widths must be integers >= 1"):
+            NetworkSpec(4, widths, 3)
+
+    def test_numpy_integer_hidden_widths(self):
+        widths = NetworkSpec(4, np.array([8, 4]), 3).hidden_widths
+        assert widths == (8, 4) and all(type(w) is int for w in widths)
+
+    def test_unknown_hidden_activation(self):
+        params = init_network(NetworkSpec(1, (2,), 1))
+        with pytest.raises(ValueError, match="unknown hidden activation 'sigmoid'"):
+            NetworkParams(params.weights, params.biases, "sigmoid")
+        with pytest.raises(ValueError, match="unknown hidden activation 'sigmoid'"):
+            NetworkSpec(1, (2,), 1, "sigmoid")
+
+
 class TestTraining:
     def test_learns_linear_map(self):
         rng = np.random.default_rng(3)

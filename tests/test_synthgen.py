@@ -75,6 +75,22 @@ class TestScenarioValidation:
             SynthScenario(sampling=("dense", 1))
         with pytest.raises(BadScenario):
             SynthScenario(sampling=("weird", 5))
+        with pytest.raises(BadScenario):
+            SynthScenario(sampling=())
+
+    @pytest.mark.parametrize("change", [
+        dict(sampling=("dense", 41.9)), dict(sampling=("dense", "41")),
+        dict(sampling=("dense", True)), dict(sampling=("irregular", "8", 3)),
+        dict(sampling=("irregular", True, 3)), dict(sampling=("irregular", 8, 3.0)),
+        dict(eigenvalues_x=(1.0, "0.5")), dict(eigenvalues_y=(True,)), dict(seed=True),
+    ])
+    def test_numbers_are_not_coerced(self, change):
+        with pytest.raises(BadScenario):
+            SynthScenario(**change)
+
+    def test_integer_eigenvalues_are_stored_as_floats(self):
+        sc = SynthScenario(eigenvalues_x=(2, 1), eigenvalues_y=(1,))
+        assert [type(v) for v in sc.eigenvalues_x + sc.eigenvalues_y] == [float] * 3
 
 
 class TestMapping:
@@ -198,6 +214,18 @@ class TestScenarioSerialization:
     def test_unknown_key_rejected(self):
         with pytest.raises(BadScenario):
             scenario_from_dict({"preset": "linear", "wavelength": 3})
+
+    @pytest.mark.parametrize("change", [
+        {"mix_channels": "no"}, {"mean_scale": "2"}, {"covariate_domain": ["0", 2]},
+        {"sampling": {"kind": "dense", "points": 12.9}},
+        {"sampling": {"kind": "irregular", "rate": "8", "min_points": 3}},
+        {"sampling": {"kind": "irregular", "rate": 8}},
+        {"sampling": {"kind": "dense", "points": 12, "rate": 8}},
+        {"sampling": {"kind": ["dense"], "points": 12}}, {"preset": ["linear"]}, {"preset": None},
+    ])
+    def test_rejects_values_it_used_to_coerce(self, change):
+        with pytest.raises(BadScenario):
+            scenario_from_dict({"preset": "linear", **change})
 
     def test_unknown_preset(self):
         with pytest.raises(BadScenario):
