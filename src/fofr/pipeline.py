@@ -572,6 +572,12 @@ def _regressor_from_dict(d: dict, l: int, p: int):
     return "nn", params
 
 
+def _checksum(payload: dict) -> str:
+    """sha256 of the payload's canonical JSON."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def model_to_dict(model: TrainedModel) -> dict:
     payload = {
         "covariate_side": _side_to_dict(model.covariate_side),
@@ -579,9 +585,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         "regressor": _regressor_to_dict(model.regressor_kind, model.regressor),
         "config": model.config,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return {"format_version": model.format_version, "checksum": checksum,
+    return {"format_version": model.format_version, "checksum": _checksum(payload),
             "payload": payload}
 
 
@@ -599,9 +603,7 @@ def load_model(path) -> TrainedModel:
     if version != MODEL_FORMAT_VERSION:
         raise VersionMismatch(
             f"{path}: artifact version {version!r}, this build reads {MODEL_FORMAT_VERSION!r}")
-    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    if checksum != doc.get("checksum"):
+    if _checksum(doc["payload"]) != doc.get("checksum"):
         raise CorruptArtifact(f"{path}: checksum mismatch")
     payload = doc["payload"]
     try:

@@ -10,6 +10,10 @@ kernel factorizes over the two times and every product stays within one
 subject, so each moment is a sum over subjects of products of per-subject
 kernel sums, minus the diagonal (same observation twice) term collected by
 site.  No pair is ever formed: the cost follows subjects, sites and the grid.
+
+Both fits end in a closed-form intercept, taken by cofactors element-wise on
+the grid, and one rule names a degenerate window: too little weight mass, or
+a determinant that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -132,19 +136,16 @@ def plugin_bandwidth(series_set, grid: EvalGrid) -> float:
 
 
 def resolve_bandwidths(series_set, kernel: KernelSpec, grid: EvalGrid) -> KernelSpec:
-    """Replace sentinel bandwidths with concrete values."""
-    out = kernel
-    plugin = (plugin_bandwidth(series_set, grid)
-              if PLUGIN in (kernel.bandwidth_mean, kernel.bandwidth_cov) else None)
-    if out.bandwidth_mean == PLUGIN:
-        out = replace(out, bandwidth_mean=plugin)
-    elif out.bandwidth_mean == AUTO:
-        out = replace(out, bandwidth_mean=select_bandwidth(series_set, kernel.family, grid, "mean"))
-    if out.bandwidth_cov == PLUGIN:
-        out = replace(out, bandwidth_cov=plugin)
-    elif out.bandwidth_cov == AUTO:
-        out = replace(out, bandwidth_cov=select_bandwidth(series_set, kernel.family, grid, "covariance"))
-    return out
+    """Replace sentinel bandwidths with concrete values, the mean's first."""
+    resolved, plugin = {}, None
+    for name, target in (("bandwidth_mean", "mean"), ("bandwidth_cov", "covariance")):
+        bw = getattr(kernel, name)
+        if bw == PLUGIN:
+            plugin = plugin_bandwidth(series_set, grid) if plugin is None else plugin
+            resolved[name] = plugin
+        elif bw == AUTO:
+            resolved[name] = select_bandwidth(series_set, kernel.family, grid, target)
+    return replace(kernel, **resolved)
 
 
 def _require_float(bw, name):
@@ -160,6 +161,25 @@ def _kernel_table(kernel: KernelSpec, h: float, sites: np.ndarray, grid: EvalGri
     w0[w0 < WEIGHT_FLUSH] = 0.0
     w1 = w0 * d
     return w0, w1, w1 * d
+
+
+def _intercept(s00, det, numer, total, grid: EvalGrid, h: float, target: str):
+    """numer / det, the intercepts of the local fits on the grid.  A window
+    needs weight mass above MASS_FLOOR times the pooled count ``total`` and a
+    positive, finite determinant; the first window in row-major order that
+    lacks either is named, its mass checked first."""
+    has_mass = s00 > MASS_FLOOR * total
+    bad = ~(has_mass & (det > 0) & np.isfinite(det))
+    if np.any(bad):
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        problem = "singular local fit" if has_mass[i] else "effective weight mass vanished"
+        at = ", ".join(f"{grid.points[k]:.6g}" for k in i)
+        where = f"t={at}" if len(i) == 1 else f"(t, t') = ({at})"
+        raise DegenerateWindow(f"{problem} at {where} (bandwidth {h:.4g} too small)")
+    out = numer / det
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteFit(f"{target} smoother produced non-finite values")
+    return out
 
 
 def smooth_mean(series_set, kernel: KernelSpec, grid: EvalGrid) -> MeanFunction:
@@ -178,17 +198,8 @@ def smooth_mean(series_set, kernel: KernelSpec, grid: EvalGrid) -> MeanFunction:
     sums = np.stack([counts, np.bincount(site_of, weights=values)])
     (s00, r0), (s01, r1), s11 = sums @ w0, sums @ w1, counts @ w2
     det = s00 * s11 - s01 * s01
-    has_mass = s00 > MASS_FLOOR * len(times)
-    bad = ~(has_mass & (det > 0) & np.isfinite(det))
-    if np.any(bad):
-        g = int(np.argmax(bad))
-        problem = "singular local fit" if has_mass[g] else "effective weight mass vanished"
-        raise DegenerateWindow(
-            f"{problem} at t={grid.points[g]:.6g} (bandwidth {h:.4g} too small)")
     # the intercept is the estimate at g
-    out = (s11 * r0 - s01 * r1) / det
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteFit("mean smoother produced non-finite values")
+    out = _intercept(s00, det, s11 * r0 - s01 * r1, len(times), grid, h, "mean")
     return MeanFunction(grid, out)
 
 
@@ -246,33 +257,14 @@ def smooth_covariance(series_set, mean: MeanFunction, kernel: KernelSpec,
     s00, s01, s11, s12 = S[:G, :G], S[G:2 * G, :G], S[2 * G:, :G], S[G:2 * G, G:]
     r0, r1 = U[:G], U[G:]
 
-    mass_floor = MASS_FLOOR * total
-    if not np.all(s00 > mass_floor):
-        a, b = np.unravel_index(int(np.argmin(s00)), s00.shape)
-        raise DegenerateWindow(
-            f"effective weight mass vanished at (t, t') = "
-            f"({grid.points[a]:.6g}, {grid.points[b]:.6g}) (bandwidth {h:.4g} too small)")
-
-    lhs = np.empty((G, G, 3, 3))
-    lhs[..., 0, 0] = s00
-    lhs[..., 0, 1] = lhs[..., 1, 0] = s01
-    lhs[..., 0, 2] = lhs[..., 2, 0] = s01.T
-    lhs[..., 1, 1] = s11
-    lhs[..., 1, 2] = lhs[..., 2, 1] = s12
-    lhs[..., 2, 2] = s11.T
-    rhs = np.stack([r0, r1, r1.T], axis=-1)[..., None]
-    try:
-        coef = np.linalg.solve(lhs, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        dets = np.linalg.det(lhs)
-        a, b = np.unravel_index(int(np.argmin(np.abs(dets))), dets.shape)
-        raise DegenerateWindow(
-            f"singular local fit at (t, t') = ({grid.points[a]:.6g}, {grid.points[b]:.6g}) "
-            f"(bandwidth {h:.4g} too small)") from exc
-    # the intercept is the estimate at (g_a, g_b)
-    values = coef[..., 0]
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteFit("covariance smoother produced non-finite values")
+    # the intercept is the estimate at (g_a, g_b); it takes the cofactors
+    # of the first column
+    k0 = s11 * s11.T - s12 * s12
+    k1 = s01.T * s12 - s01 * s11.T
+    k2 = s01 * s12 - s01.T * s11
+    det = s00 * k0 + s01 * k1 + s01.T * k2
+    values = _intercept(s00, det, r0 * k0 + r1 * k1 + r1.T * k2, total, grid, h,
+                        "covariance")
     values = 0.5 * (values + values.T)
     return CovarianceSurface(grid, values)
 

@@ -69,8 +69,8 @@ class SynthScenario:
             raise BadScenario("need at least one channel per side")
         for name, lams in (("eigenvalues_x", self.eigenvalues_x),
                            ("eigenvalues_y", self.eigenvalues_y)):
-            if not lams or any(v <= 0 for v in lams):
-                raise BadScenario(f"{name} must be non-empty and positive")
+            if not lams or not all(0 < v < np.inf for v in lams):
+                raise BadScenario(f"{name} must be non-empty, positive and finite")
             if any(a < b for a, b in zip(lams, lams[1:])):
                 raise BadScenario(f"{name} must be non-increasing")
         for side, _, channels, order, lams in self._sides():
@@ -84,8 +84,10 @@ class SynthScenario:
             raise BadScenario("linear mapping cannot raise the rank: need P <= L")
         if self.mapping == "quadratic" and ly > 2 * lx:
             raise BadScenario("quadratic mapping needs P <= 2L")
-        if self.noise_sd < 0:
-            raise BadScenario("noise_sd must be >= 0")
+        if not 0 <= self.noise_sd < np.inf:
+            raise BadScenario(f"noise_sd must be finite and >= 0, got {self.noise_sd!r}")
+        if not np.isfinite(self.mean_scale):
+            raise BadScenario(f"mean_scale must be finite, got {self.mean_scale!r}")
         kind, *design = self.sampling or (None,)
         if kind == "dense":
             if len(design) != 1 or not _is_int(design[0]) or design[0] < 2:

@@ -76,6 +76,21 @@ class TestSynth:
                          "--out-dir", str(tmp_path / "out"))
         assert code == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("noise_sd", "NaN"), ("noise_sd", "Infinity"), ("mean_scale", "NaN"),
+        ("mean_scale", "-Infinity"), ("eigenvalues_y", "[Infinity]"),
+        ("eigenvalues_x", "[1.0, NaN]")])
+    def test_non_finite_scenario_number_exits_2(self, tmp_path, capsys, field, value):
+        # json.load parses NaN and Infinity, which no scenario number may be
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"preset": "linear", "n_subjects": 5, "{field}": {value}}}')
+        code, _, err = run(capsys, "synth", "--scenario", str(bad),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert_one_error_line(err)
+        assert f"{field} must be" in err and "finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic(self, workspace, capsys):
         tmp, scenario = workspace
         for d in ("r1", "r2"):

@@ -1,14 +1,19 @@
 """Kernel smoother tests against direct weighted-least-squares oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from fofr import synthgen
 from fofr.core import Interval, ObservationSeries, make_grid
 from fofr.errors import AllCandidatesDegenerate, DegenerateWindow, NoPairs, NonFiniteFit
 from fofr.smoothing import (
     MASS_FLOOR,
+    WEIGHT_FLUSH,
     CovarianceSurface,
     KernelSpec,
     MeanFunction,
@@ -97,6 +102,81 @@ def loop_mean_reference(series_set, kernel, grid):
             raise DegenerateWindow(
                 f"singular local fit at t={t0:.6g} (bandwidth {h:.4g} too small)")
         out[g] = (s11 * r0 - s01 * r1) / det
+    return out
+
+
+def lu_covariance_reference(series_set, mean, kernel, grid):
+    """The covariance smoother that solved every window's (3, 3) plane system
+    by LU (``np.linalg.solve``) where the smoother now takes the intercept by
+    cofactors; the same moments, the degenerate-window checks left out."""
+    h = kernel.bandwidth_cov
+    paired = [s for s in series_set if len(s) > 1]
+    lengths = np.array([len(s) for s in paired])
+    times = np.concatenate([s.times for s in paired])
+    resid = np.concatenate([s.values for s in paired]) - mean.at(times)
+    sites, site_of = np.unique(times, return_inverse=True)
+    G = grid.size
+    d = sites[:, None] - grid.points[None, :]
+    w0 = kernel.weights(d / h)
+    w0[w0 < WEIGHT_FLUSH] = 0.0
+    W = np.concatenate([w0, w0 * d, w0 * d * d], axis=1)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    shape = (len(paired), len(sites))
+    C = sparse.csr_matrix((np.ones(len(times)), site_of, indptr), shape=shape) @ W
+    R = sparse.csr_matrix((resid, site_of, indptr), shape=shape) @ W[:, :2 * G]
+    n = np.bincount(site_of, minlength=len(sites)).astype(float)
+    rsq = np.bincount(site_of, weights=resid * resid, minlength=len(sites))
+    S = C.T @ C[:, :2 * G] - W.T @ (n[:, None] * W[:, :2 * G])
+    U = R.T @ R[:, :G] - W[:, :2 * G].T @ (rsq[:, None] * w0)
+    s00, s01, s11, s12 = S[:G, :G], S[G:2 * G, :G], S[2 * G:, :G], S[G:2 * G, G:]
+    r0, r1 = U[:G], U[G:]
+    lhs = np.empty((G, G, 3, 3))
+    lhs[..., 0, 0] = s00
+    lhs[..., 0, 1] = lhs[..., 1, 0] = s01
+    lhs[..., 0, 2] = lhs[..., 2, 0] = s01.T
+    lhs[..., 1, 1] = s11
+    lhs[..., 1, 2] = lhs[..., 2, 1] = s12
+    lhs[..., 2, 2] = s11.T
+    rhs = np.stack([r0, r1, r1.T], axis=-1)[..., None]
+    values = np.linalg.solve(lhs, rhs)[..., 0, 0]
+    return 0.5 * (values + values.T)
+
+
+def loop_cov_degenerate_reference(series_set, mean, kernel, grid):
+    """Window-by-window check of the covariance fit in row-major order, on
+    the raw off-diagonal pairs: the first window without weight mass, or
+    with a plane system whose determinant is not positive and finite, is
+    named, the mass checked first."""
+    t1, t2, _ = _raw_pairs(series_set, mean)
+    h = kernel.bandwidth_cov
+    for a, ga in enumerate(grid.points):
+        for b, gb in enumerate(grid.points):
+            w = kernel.weights((t1 - ga) / h) * kernel.weights((t2 - gb) / h)
+            where = f"(t, t') = ({ga:.6g}, {gb:.6g}) (bandwidth {h:.4g} too small)"
+            if not np.sum(w) > MASS_FLOOR * len(t1):
+                raise DegenerateWindow(f"effective weight mass vanished at {where}")
+            X = np.column_stack([np.ones_like(t1), t1 - ga, t2 - gb])
+            det = np.linalg.det(X.T @ (w[:, None] * X))
+            if not (det > 0 and np.isfinite(det)):
+                raise DegenerateWindow(f"singular local fit at {where}")
+
+
+def preset_channels():
+    """(name, series, grid) of every channel of the four presets at 250
+    subjects and of the irregular design at 120."""
+    scenarios = [(p, replace(synthgen.preset_scenario(p), n_subjects=250))
+                 for p in ("dense", "quadratic", "rank_11_10", "linear")]
+    scenarios.append(("irregular", replace(synthgen.preset_scenario("dense"), n_subjects=120,
+                                           sampling=("irregular", 20, 5))))
+    out = []
+    for name, scenario in scenarios:
+        dataset, _ = synthgen.generate(scenario)
+        schema = synthgen.dataset_schema(scenario)
+        for side, domain, rows in (("x", dataset.covariate_domain, dataset.covariates),
+                                   ("y", dataset.response_domain, dataset.responses)):
+            grid = make_grid(domain, schema.grid_size)
+            out += [(f"{name} {side}{c + 1}", [row[c] for row in rows], grid)
+                    for c in range(len(rows[0]))]
     return out
 
 
@@ -308,6 +388,41 @@ class TestCovarianceSmoother:
         mean = smooth_mean(series, kernel, grid)
         with pytest.raises(DegenerateWindow, match="weight mass vanished"):
             smooth_covariance(series, mean, kernel, grid)
+
+    def test_matches_lu_reference_on_preset_channels(self):
+        channels = preset_channels()
+        assert len(channels) == 18
+        for name, series, grid in channels:
+            kernel = resolve_bandwidths(series, KernelSpec(), grid)
+            mean = smooth_mean(series, kernel, grid)
+            ref = lu_covariance_reference(series, mean, kernel, grid)
+            fit = smooth_covariance(series, mean, kernel, grid)
+            np.testing.assert_allclose(fit.values, ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)), err_msg=name)
+
+    def test_degenerate_windows_named_like_loop_reference(self):
+        # the first failing window in row-major order is named, the mass
+        # check first there
+        rng = np.random.default_rng(7)
+        series = random_series_set(rng)
+        tiny = (series, make_grid(Interval(0, 1), 21), 1e-6)
+        # every subject on the grid's spacing over [0, 0.5] and once more at
+        # the grid point 0.6: the windows (0, g) up to g = 0.5 hold a plane's
+        # worth of sites, (0, 0.6) holds mass on one t' only, so no slope
+        grid = make_grid(Interval(0, 1), 11)
+        times = np.append(np.linspace(0.0, 0.5, 26), grid.points[6])
+        on_grid = ([ObservationSeries(times, rng.standard_normal(27)) for _ in range(3)],
+                   grid, 0.05)
+        for series, grid, h, problem in (tiny + ("weight mass vanished",),
+                                         on_grid + ("singular local fit at (t, t') = (0, 0.6)",)):
+            mean = smooth_mean(series, KernelSpec(bandwidth_mean=0.2), grid)
+            kernel = KernelSpec("epanechnikov", bandwidth_cov=h)
+            with pytest.raises(DegenerateWindow) as ref:
+                loop_cov_degenerate_reference(series, mean, kernel, grid)
+            with pytest.raises(DegenerateWindow) as new:
+                smooth_covariance(series, mean, kernel, grid)
+            assert type(new.value) is type(ref.value)
+            assert str(new.value) == str(ref.value) and problem in str(new.value)
 
     def test_no_pairs(self):
         grid = make_grid(Interval(0, 1), 5)
