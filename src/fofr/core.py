@@ -540,16 +540,16 @@ def _write_long_csv(path, header, blocks):
 
     The id fields of a block are quoted once, by ``csv.writer``'s rules with
     a ``\r\n`` terminator, so that an id holding ``\r`` or ``\n`` is quoted;
-    the numbers are written by ``repr``, an exact float round trip.  Blocks
-    that pass the same ``times`` object as the block before them reuse its
-    strings, so a block must not change that array in place.
+    the numbers are written by ``repr``, an exact float round trip.  A block
+    whose ``times`` repeat the block before it bit for bit reuses its strings
+    (bits, not values: ``-0.0 == 0.0``, but their ``repr``s differ).
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         last = stamps = None
         for ids, times, values in blocks:
-            if times is not last:
-                last, stamps = times, [repr(t) for t in times.tolist()]
+            if (key := (times.dtype.str, times.tobytes())) != last:
+                last, stamps = key, [repr(t) for t in times.tolist()]
             record = io.StringIO()
             csv.writer(record, lineterminator="\r\n").writerow(ids)
             prefix = record.getvalue()[:-2]

@@ -20,12 +20,13 @@ from fofr.core import (
     FunctionalDataset,
     Interval,
     ObservationSeries,
+    _checked_series,
     _config_from_json,
     _json_object,
     _read_json,
     make_grid,
 )
-from fofr.errors import BadScenario, IndexOutOfRange
+from fofr.errors import BadScenario, DuplicateTimestamp, IndexOutOfRange, MalformedRow
 
 TRUTH_GRID_SIZE = 201
 
@@ -211,20 +212,47 @@ def apply_mapping(mapping: dict, eigenvalues_x, xi: np.ndarray) -> np.ndarray:
     return theta if theta.shape[0] > 1 else theta[0]
 
 
+def _tabulate(scenario: SynthScenario, basis: PlantedBasis, times: np.ndarray):
+    """``times`` with the planted means (channels, T) and basis (rank, channels, T) on them."""
+    means = [_mean_function(basis.domain, c, scenario.mean_scale, times)
+             for c in range(basis.channels)]
+    return times, means, basis.eval(times)
+
+
+def _dense_design(scenario: SynthScenario, basis: PlantedBasis):
+    """A dense side's tables, on one time grid that every series of the side
+    shares: read-only, so that a write cannot reach every subject."""
+    times = np.linspace(basis.domain.lo, basis.domain.hi, scenario.sampling[1])
+    times.flags.writeable = False
+    return _tabulate(scenario, basis, times)
+
+
 def _draw_series(scenario: SynthScenario, basis: PlantedBasis, channel: int,
-                 scores: np.ndarray, rng: np.random.Generator) -> ObservationSeries:
-    """One subject's series on one channel: times, planted mean + scores·basis, noise."""
-    lo, hi = basis.domain.lo, basis.domain.hi
-    if scenario.sampling[0] == "dense":
-        times = np.linspace(lo, hi, scenario.sampling[1])
-    else:
+                 scores: np.ndarray, rng: np.random.Generator, design):
+    """One subject's (times, values) on one channel: planted mean + scores·basis,
+    noise.  ``design`` is the side's dense design; None draws irregular times."""
+    if design is None:
         _, rate, min_points = scenario.sampling
-        times = np.sort(rng.uniform(lo, hi, size=max(int(rng.poisson(rate)), min_points)))
-    values = (_mean_function(basis.domain, channel, scenario.mean_scale, times)
-              + np.einsum("p,pt->t", scores, basis.eval(times)[:, channel, :]))
+        size = max(int(rng.poisson(rate)), min_points)
+        design = _tabulate(scenario, basis,
+                           np.sort(rng.uniform(basis.domain.lo, basis.domain.hi, size=size)))
+    times, means, tab = design
+    values = means[channel] + np.einsum("p,pt->t", scores, tab[:, channel, :])
     if scenario.noise_sd > 0:
         values = values + scenario.noise_sd * rng.standard_normal(len(times))
-    return ObservationSeries(times, values)
+    return times, values
+
+
+def _check_draws(draws):
+    """Raise with ``ObservationSeries``' errors unless all of a channel's
+    (times, values) draws are finite and rise in time; one pass over all."""
+    times = np.concatenate([t for t, _ in draws])
+    if not (np.isfinite(times).all() and np.isfinite(np.concatenate([v for _, v in draws])).all()):
+        raise MalformedRow("times and values must be finite")
+    rising = np.diff(times) > 0
+    rising[np.cumsum([len(t) for t, _ in draws])[:-1] - 1] = True  # across series
+    if not rising.all():
+        raise DuplicateTimestamp("times must be strictly increasing")
 
 
 def generate(scenario: SynthScenario):
@@ -247,11 +275,18 @@ def generate(scenario: SynthScenario):
                  for (*_, lams), tab in zip(scenario._sides(), tabs)]
     noiseless = means[1][None, :, :] + np.einsum("np,pdg->ndg", scores[1], tabs[1])
 
+    designs = [_dense_design(scenario, basis) if scenario.sampling[0] == "dense" else None
+               for basis in bases]
     # subject by subject, covariates before responses
-    covariates, responses = zip(*(
-        [[_draw_series(scenario, basis, c, side_scores[i], rng) for c in range(basis.channels)]
-         for basis, side_scores in zip(bases, scores)]
-        for i in range(n)))
+    draws = [[[_draw_series(scenario, basis, c, side_scores[i], rng, design)
+               for c in range(basis.channels)]
+              for basis, side_scores, design in zip(bases, scores, designs)]
+             for i in range(n)]
+    for side, basis in enumerate(bases):
+        for c in range(basis.channels):
+            _check_draws([draw[side][c] for draw in draws])
+    covariates, responses = ([[_checked_series(*d) for d in draw[side]] for draw in draws]
+                             for side in range(2))
     schema = dataset_schema(scenario)
     dataset = FunctionalDataset(scenario.covariate_domain, scenario.response_domain,
                                 schema.covariates, schema.responses,

@@ -475,7 +475,64 @@ def reference_write_dataset(dataset, path):
                         writer.writerow([sid, name, role, repr(float(t)), repr(float(v))])
 
 
+def per_block_write_long_csv(path, header, blocks):
+    """``core._write_long_csv`` with every block's times formatted anew by ``repr``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for ids, times, values in blocks:
+            record = io.StringIO()
+            csv.writer(record, lineterminator="\r\n").writerow(ids)
+            prefix = record.getvalue()[:-2]
+            fh.write("".join(f"{prefix},{t!r},{v!r}\n"
+                             for t, v in zip(times.tolist(), values.tolist())))
+
+
+def _time_blocks(kind):
+    """Time arrays of consecutive blocks for the writer's reuse of time strings."""
+    rng = np.random.default_rng(5)
+    grid, other = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 9) ** 2
+    if kind == "equal copies":
+        return [grid.copy() for _ in range(4)]
+    if kind == "alternating grids":
+        return [grid, other, grid, other, grid]
+    if kind == "signed zeros":  # equal values whose reprs differ
+        zero, negative = np.array([0.0, 0.25, 0.5]), np.array([-0.0, 0.25, 0.5])
+        return [zero, negative, negative.copy(), zero, zero.copy()]
+    if kind == "irregular":
+        return [np.sort(rng.uniform(0.0, 1.0, rng.integers(2, 12))) for _ in range(6)]
+    raise ValueError(kind)
+
+
 class TestWriter:
+    @pytest.mark.parametrize("kind", ["equal copies", "alternating grids", "signed zeros",
+                                      "irregular"])
+    def test_reused_time_strings_match_per_block_writer(self, tmp_path, kind):
+        times = _time_blocks(kind)
+        rng = np.random.default_rng(len(kind))
+        blocks = [((f"s{i}", "y,1"), t, rng.standard_normal(len(t)))
+                  for i, t in enumerate(times)]
+        path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
+        core._write_long_csv(path, PREDICTIONS_HEADER, blocks)
+        per_block_write_long_csv(reference, PREDICTIONS_HEADER, blocks)
+        assert path.read_bytes() == reference.read_bytes()
+        if kind == "signed zeros":
+            assert b"s1,\"y,1\",-0.0," in path.read_bytes()
+
+    def test_times_changed_in_place_between_blocks_are_formatted_again(self, tmp_path):
+        times = np.linspace(0.0, 1.0, 5)
+
+        def blocks():
+            for i in range(3):
+                yield (f"s{i}", "y1"), times, np.zeros(5)
+                times[1:] += 1.0
+
+        expected = [((f"s{i}", "y1"), np.linspace(0.0, 1.0, 5) + [0, i, i, i, i], np.zeros(5))
+                    for i in range(3)]
+        path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
+        core._write_long_csv(path, PREDICTIONS_HEADER, blocks())
+        per_block_write_long_csv(reference, PREDICTIONS_HEADER, expected)
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_quoted_ids_match_csv_writer_and_load_back(self, tmp_path):
         data, schema = small_dataset()
         quoted = ["a,b", 'q"t', " lead", "é", "two\nlines", "cr\rid"]

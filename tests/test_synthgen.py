@@ -6,14 +6,18 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from fofr.core import Interval, make_grid
-from fofr.errors import BadScenario, IndexOutOfRange
+from fofr.core import FunctionalDataset, Interval, ObservationSeries, make_grid
+from fofr.errors import BadScenario, DuplicateTimestamp, IndexOutOfRange, MalformedRow
 from fofr.synthgen import (
     TRUTH_GRID_SIZE,
     GroundTruth,
     PlantedBasis,
     SynthScenario,
+    _build_mapping,
+    _mean_function,
+    _random_orthogonal,
     apply_mapping,
+    dataset_schema,
     drop_observations,
     generate,
     ground_truth_to_dict,
@@ -167,6 +171,123 @@ class TestGenerate:
         assert xi.shape == (4,) and theta.shape == (3,)
         with pytest.raises(IndexOutOfRange):
             oracle_scores(truth, 5)
+
+
+def reference_draw_series(scenario, basis, channel, scores, rng):
+    """The per-series draw that ``generate`` replaced: it builds the times and
+    tabulates the mean and basis anew for every series, and checks each series."""
+    lo, hi = basis.domain.lo, basis.domain.hi
+    if scenario.sampling[0] == "dense":
+        times = np.linspace(lo, hi, scenario.sampling[1])
+    else:
+        _, rate, min_points = scenario.sampling
+        times = np.sort(rng.uniform(lo, hi, size=max(int(rng.poisson(rate)), min_points)))
+    values = (_mean_function(basis.domain, channel, scenario.mean_scale, times)
+              + np.einsum("p,pt->t", scores, basis.eval(times)[:, channel, :]))
+    if scenario.noise_sd > 0:
+        values = values + scenario.noise_sd * rng.standard_normal(len(times))
+    return ObservationSeries(times, values)
+
+
+def reference_generate(scenario):
+    """``generate`` as it was with every series drawn by ``reference_draw_series``."""
+    rng = np.random.default_rng(scenario.seed)
+    bases = [PlantedBasis(domain, channels, order, len(lams),
+                          _random_orthogonal(rng, len(lams)) if scenario.mix_channels else None)
+             for _, domain, channels, order, lams in scenario._sides()]
+    mapping = _build_mapping(scenario, rng)
+    n = scenario.n_subjects
+    xi = rng.standard_normal((n, bases[0].rank)) * np.sqrt(scenario.eigenvalues_x)[None, :]
+    scores = (xi, np.atleast_2d(apply_mapping(mapping, scenario.eigenvalues_x, xi)))
+    grids = [make_grid(basis.domain, TRUTH_GRID_SIZE) for basis in bases]
+    tabs = [basis.eval(grid.points) for basis, grid in zip(bases, grids)]
+    means = [np.stack([_mean_function(basis.domain, c, scenario.mean_scale, grid.points)
+                       for c in range(basis.channels)]) for basis, grid in zip(bases, grids)]
+    variances = [np.einsum("p,pcg->cg", np.array(lams), tab ** 2)
+                 for (*_, lams), tab in zip(scenario._sides(), tabs)]
+    noiseless = means[1][None, :, :] + np.einsum("np,pdg->ndg", scores[1], tabs[1])
+    covariates, responses = zip(*(
+        [[reference_draw_series(scenario, basis, c, side_scores[i], rng)
+          for c in range(basis.channels)]
+         for basis, side_scores in zip(bases, scores)]
+        for i in range(n)))
+    schema = dataset_schema(scenario)
+    dataset = FunctionalDataset(scenario.covariate_domain, scenario.response_domain,
+                                schema.covariates, schema.responses,
+                                [f"s{i:04d}" for i in range(n)], covariates, responses)
+    truth = GroundTruth(scenario, *grids, *tabs, *means, *variances, *scores, mapping, noiseless)
+    return dataset, truth
+
+
+def assert_same_series(data, expected):
+    assert data.subject_ids == expected.subject_ids
+    for rows, expected_rows in ((data.covariates, expected.covariates),
+                                (data.responses, expected.responses)):
+        for row, expected_row in zip(rows, expected_rows, strict=True):
+            for a, b in zip(row, expected_row, strict=True):
+                assert a.times.dtype == b.times.dtype and a.values.dtype == b.values.dtype
+                assert a.times.tobytes() == b.times.tobytes()
+                assert a.values.tobytes() == b.values.tobytes()
+
+
+PRESETS = ("linear", "dense", "quadratic", "rank_11_10")
+
+
+class TestGenerateOracle:
+    """``generate`` tabulates a dense design once per side and checks each
+    channel's draws at once; its output is bit-equal to the per-series draw."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("sampling", [None, ("irregular", 20, 5)])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_bit_equal_to_per_series_draw(self, preset, sampling, seed):
+        sc = replace(preset_scenario(preset), n_subjects=100, seed=seed)
+        if sampling is not None:
+            sc = replace(sc, sampling=sampling)
+        data, truth = generate(sc)
+        expected_data, expected_truth = reference_generate(sc)
+        assert_same_series(data, expected_data)
+        assert truth.scenario == expected_truth.scenario
+        for f in fields(GroundTruth):
+            value, expected = getattr(truth, f.name), getattr(expected_truth, f.name)
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == expected.tobytes(), f.name
+        for name in ("grid_s", "grid_t"):
+            for attr in ("points", "quad_weights"):
+                assert (getattr(getattr(truth, name), attr).tobytes()
+                        == getattr(getattr(expected_truth, name), attr).tobytes())
+        assert truth.mapping_matrices.keys() == expected_truth.mapping_matrices.keys()
+        for key, value in truth.mapping_matrices.items():
+            assert value.tobytes() == expected_truth.mapping_matrices[key].tobytes()
+        assert_same_series(drop_observations(data, 0.3, seed=seed),
+                           drop_observations(expected_data, 0.3, seed=seed))
+
+    def test_tied_irregular_times_raise(self):
+        # three representable times in the covariate domain, at least five per series
+        hi = float(np.nextafter(np.nextafter(1.0, 2.0), 2.0))
+        sc = replace(preset_scenario("dense"), n_subjects=4, sampling=("irregular", 20, 5),
+                     covariate_domain=Interval(1.0, hi))
+        for draw in (reference_generate, generate):
+            with pytest.raises(DuplicateTimestamp, match="^times must be strictly increasing$"):
+                draw(sc)
+
+    def test_non_finite_draw_raises(self):
+        sc = replace(preset_scenario("dense"), n_subjects=4, mean_scale=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for draw in (reference_generate, generate):
+                with pytest.raises(MalformedRow, match="^times and values must be finite$"):
+                    draw(sc)
+
+    def test_dense_series_share_one_read_only_grid(self):
+        data, _ = generate(replace(preset_scenario("dense"), n_subjects=3))
+        first = data.covariates[0][0]
+        assert all(s.times is first.times for row in data.covariates for s in row)
+        assert data.responses[0][0].times is not first.times  # one grid per side
+        with pytest.raises(ValueError):
+            first.times[0] = 0.5
+        with pytest.raises(ValueError):
+            first.times += 0.0
+        assert data.covariates[1][0].times[0] == 0.0
 
 
 class TestDropObservations:
