@@ -13,10 +13,11 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass, field
 
 from fofr.core import (
     PREDICTIONS_HEADER,
-    _json_object,
+    _config_from_json,
     _read_json,
     _read_series,
     _write_long_csv,
@@ -41,11 +42,30 @@ from fofr.synthgen import dataset_schema, generate, load_scenario, save_ground_t
 
 EXIT_OK = 0
 
-#: JSON types of the top-level keys of a run configuration and of its split
-_RUN_CONFIG_KEYS = {"data": str, "schema": str, "model_out": str, "diagnostics_out": str,
-                    "split": dict, "pipeline": dict}
-_SPLIT_KEYS = {"test_fraction": (int, float), "seed": int, "test_ids_out": str,
-               "test_data_out": str}
+
+@dataclass(frozen=True)
+class SplitConfig:
+    test_fraction: float = 0.0
+    seed: int = 0
+    test_ids_out: str = ""
+    test_data_out: str = ""
+
+    def __post_init__(self):
+        if not 0.0 <= self.test_fraction <= 0.5 or self.seed < 0:
+            raise ValueError(f"test_fraction must lie in [0, 0.5] and seed be >= 0, "
+                             f"got {self.test_fraction} and {self.seed}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A ``fofr train --config`` file; an empty path is unset, a flag overrides it."""
+
+    data: str = ""
+    schema: str = ""
+    model_out: str = ""
+    diagnostics_out: str = ""
+    split: SplitConfig = field(default_factory=SplitConfig)
+    pipeline: dict = field(default_factory=dict)
 
 
 def cmd_synth(args) -> int:
@@ -78,32 +98,15 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _build_pipeline_config(cfg: dict, args, grid_size: int) -> PipelineConfig:
-    pipe = dict(cfg.get("pipeline", {}))
-    pipe.setdefault("grid_size_s", grid_size)
-    pipe.setdefault("grid_size_t", grid_size)
-    if args.baseline is not None:
-        pipe["regressor"] = args.baseline
-    if args.seed is not None:
-        pipe["seed"] = args.seed
-    return PipelineConfig.from_dict(pipe)
-
-
 def cmd_train(args) -> int:
-    cfg = (_json_object(_read_json(args.config, BadConfig), "config", _RUN_CONFIG_KEYS)
-           if args.config else {})
-    data_path = args.data or cfg.get("data")
-    schema_path = args.schema or cfg.get("schema")
-    model_out = args.model_out or cfg.get("model_out")
-    diagnostics_out = args.diagnostics_out or cfg.get("diagnostics_out")
+    cfg = (_config_from_json(RunConfig, _read_json(args.config, BadConfig), "config")
+           if args.config else RunConfig())
+    data_path, schema_path, model_out, diagnostics_out = (
+        getattr(args, key) or getattr(cfg, key)
+        for key in ("data", "schema", "model_out", "diagnostics_out"))
     if not data_path or not schema_path or not model_out:
         raise BadConfig("train needs data, schema and model_out (via --config or flags)")
-    split = _json_object(cfg.get("split", {}), "config.split", _SPLIT_KEYS)
-    frac, seed = split.get("test_fraction", 0.0), split.get("seed", 0)
-    if not 0.0 <= frac <= 0.5 or seed < 0:
-        raise BadConfig(f"split needs test_fraction in [0, 0.5] and seed >= 0, "
-                        f"got {frac} and {seed}")
-    ids_out, data_out = split.get("test_ids_out"), split.get("test_data_out")
+    ids_out, data_out = cfg.split.test_ids_out, cfg.split.test_data_out
     paths = [os.path.realpath(p) for p in
              (data_path, schema_path, model_out, diagnostics_out, ids_out, data_out) if p]
     if len(set(paths)) != len(paths):
@@ -111,15 +114,18 @@ def cmd_train(args) -> int:
 
     schema = load_schema(schema_path)
     dataset = load_dataset(data_path, schema)
-    if frac > 0:
-        dataset, test_set = split_subjects(dataset, frac, seed)
+    if cfg.split.test_fraction > 0:
+        dataset, test_set = split_subjects(dataset, cfg.split.test_fraction, cfg.split.seed)
         if ids_out:
             with open(ids_out, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(test_set.subject_ids) + "\n")
         if data_out:
             write_dataset(test_set, data_out)
 
-    config = _build_pipeline_config(cfg, args, schema.grid_size)
+    flags = {"regressor": args.baseline, "seed": args.seed}
+    config = PipelineConfig.from_dict({
+        "grid_size_s": schema.grid_size, "grid_size_t": schema.grid_size, **cfg.pipeline,
+        **{key: value for key, value in flags.items() if value is not None}})
     model, diagnostics = train_pipeline(dataset, config)
     save_model(model, model_out)
     if diagnostics_out:

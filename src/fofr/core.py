@@ -271,7 +271,7 @@ def _read_json(path, error: type):
 #: JSON types that a field of each annotated type accepts; a field whose type
 #: is any other dataclass is a nested JSON object
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), tuple: (list,),
-               Interval: (list,), type(None): (type(None),)}
+               dict: (dict,), Interval: (list,), type(None): (type(None),)}
 _JSON_WORDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
                list: "a list", dict: "an object", type(None): "null"}
 

@@ -110,8 +110,9 @@ class PipelineConfig:
             raise BadConfig(f"train.seed {self.train.seed} is not used: "
                             f"the network trains with seed {self.seed}")
         if (self.train.val_fraction > 0) != (self.train.early_stop_patience is not None):
-            raise BadConfig("train.val_fraction and train.early_stop_patience "
-                            "take effect only together")
+            raise BadConfig("train.val_fraction and train.early_stop_patience take effect "
+                            "only together; turn early stopping off with val_fraction: 0 "
+                            "and early_stop_patience: null")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden_widths": list(self.hidden_widths)}
@@ -342,13 +343,8 @@ def train_pipeline(data: FunctionalDataset, config: PipelineConfig):
                                seed=config.seed)
             train_cfg = replace(config.train, seed=config.seed)
             regressor, log = train_network(spec, train_cfg, inputs, targets)
-            diagnostics["regressor"] = {
-                "kind": "nn",
-                "n_params": count_params(spec),
-                "train_loss": log.train_loss,
-                "val_loss": log.val_loss,
-                "best_epoch": log.best_epoch,
-            }
+            diagnostics["regressor"] = {"kind": "nn", "n_params": count_params(spec),
+                                        **asdict(log)}
     diagnostics["n_inputs"] = l
     diagnostics["n_outputs"] = p
 

@@ -77,8 +77,9 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    early_stop_patience: int | None = None
-    val_fraction: float = 0.0
+    #: stop on the loss of val_fraction of the samples, held out; 0 and None turn it off
+    early_stop_patience: int | None = 100
+    val_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -121,6 +122,7 @@ class TrainLog:
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     best_epoch: int | None = None
+    steps: int = 0  # optimizer steps taken
 
 
 def init_network(spec: NetworkSpec) -> NetworkParams:
@@ -282,14 +284,10 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
     n = X.shape[0]
     use_val = config.val_fraction > 0 and config.early_stop_patience is not None
     if use_val:
-        n_val = max(1, int(round(config.val_fraction * n)))
-        perm = rng.permutation(n)
-        val_idx, train_idx = perm[:n_val], perm[n_val:]
-        X_val, T_val = X[val_idx], T[val_idx]
-        X_tr, T_tr = X[train_idx], T[train_idx]
+        val, tr = np.split(rng.permutation(n), [max(1, int(round(config.val_fraction * n)))])
+        X_val, T_val, X_tr, T_tr = X[val], T[val], X[tr], T[tr]
     else:
         X_tr, T_tr = X, T
-        X_val = T_val = None
 
     dims = spec.layer_dims
     init = init_network(spec)
@@ -300,7 +298,6 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
     grads_w, grads_b = _layer_views(grad, dims)
     update = _in_place_update(config, theta)
     initial_loss = mse_loss(params, X_tr, T_tr)
-    step = 0
     log = TrainLog()
     best_loss, best_theta = np.inf, None
     n_tr = X_tr.shape[0]
@@ -311,8 +308,8 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
         for lo in range(0, n_tr, batch):
             idx = order[lo:lo + batch]
             _backprop(params, X_tr[idx], T_tr[idx], grads_w, grads_b)
-            step += 1
-            update(grad, step)
+            log.steps += 1
+            update(grad, log.steps)
         train_loss = mse_loss(params, X_tr, T_tr)
         if not train_loss <= DIVERGENCE_RATIO * initial_loss:  # also when NaN
             raise DivergenceDetected(f"training diverged at epoch {epoch}: loss "

@@ -4,11 +4,12 @@ import csv
 import hashlib
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fofr.cli import evaluate_csv, main, write_predictions_csv
+from fofr.cli import RunConfig, SplitConfig, evaluate_csv, main, write_predictions_csv
 from fofr.core import (PREDICTIONS_HEADER, Interval, _read_series, load_dataset, load_schema,
                        make_grid)
 from fofr.pipeline import PredictionSet, evaluate, load_model, predict_pipeline
@@ -171,8 +172,8 @@ class TestTrain:
         '{"pipeline": {"train": {"adam_eps": -1}}}',
         '{"pipeline": {"train": {"early_stop_patience": 0}}}',
         '{"pipeline": {"train": {"seed": 99}}}',
-        '{"pipeline": {"train": {"val_fraction": 0.2}}}',
-        '{"pipeline": {"train": {"early_stop_patience": 5}}}',
+        '{"pipeline": {"train": {"val_fraction": 0}}}',
+        '{"pipeline": {"train": {"early_stop_patience": null}}}',
         '{"pipeline": {"hidden_widths": [0]}}',
         '5',
         '{broken',
@@ -186,6 +187,31 @@ class TestTrain:
                            "--model-out", str(tmp / "m.json"), "--baseline", "fflm")
         assert code == 2
         assert_one_error_line(err)
+        assert not (tmp / "m.json").exists()
+
+    BAD_RUN_CONFIG = {"data": 1, "schema": ["s"], "model_out": None, "diagnostics_out": True,
+                      "split": 1, "pipeline": [], "split.test_fraction": "0.2",
+                      "split.seed": 1.5, "split.test_ids_out": 3, "split.test_data_out": None}
+
+    def test_bad_run_config_covers_every_key(self):
+        assert set(self.BAD_RUN_CONFIG) == ({f.name for f in fields(RunConfig)}
+                                            | {f"split.{f.name}" for f in fields(SplitConfig)})
+
+    @pytest.mark.parametrize("key, value", [
+        *BAD_RUN_CONFIG.items(), ("bogus", 1), ("split.bogus", 1),
+        ("split.test_fraction", 0.7), ("split.seed", -1)])
+    def test_bad_run_config_value_names_its_key(self, synthesized, key, value, capsys):
+        tmp, out_dir = synthesized
+        section, _, name = key.rpartition(".")
+        config = {section: {name: value}} if section else {name: value}
+        (tmp / "config.json").write_text(json.dumps(config))
+        code, _, err = run(capsys, "train", "--config", str(tmp / "config.json"),
+                           "--data", str(out_dir / "data.csv"),
+                           "--schema", str(out_dir / "schema.json"),
+                           "--model-out", str(tmp / "m.json"), "--baseline", "fflm")
+        assert code == 2
+        assert_one_error_line(err)
+        assert name in err
         assert not (tmp / "m.json").exists()
 
     def test_diagnostics_are_deterministic(self, synthesized, capsys):

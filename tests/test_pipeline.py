@@ -89,8 +89,13 @@ class TestTrain:
         data, _ = small_linear
         cfg = PipelineConfig(regressor="nn", train=TrainConfig(epochs=50), seed=3)
         model, diag = train_pipeline(data, cfg)
-        assert diag["regressor"]["kind"] == "nn"
-        assert diag["regressor"]["train_loss"][-1] < diag["regressor"]["train_loss"][0]
+        reg = diag["regressor"]
+        assert reg["kind"] == "nn"
+        assert reg["train_loss"][-1] < reg["train_loss"][0]
+        # the default holds out 20 % of the subjects; one step per batch of 32
+        assert set(reg) == {"kind", "n_params", "train_loss", "val_loss", "best_epoch", "steps"}
+        n_train = data.n_subjects - round(0.2 * data.n_subjects)
+        assert reg["steps"] == len(reg["train_loss"]) * -(-n_train // 32)
 
     def test_empty_spectrum_channel_contributes_nothing(self, small_linear, monkeypatch,
                                                          caplog):
@@ -484,7 +489,7 @@ class TestPersistence:
         # reloaded one separate arrays: the predictions must not differ
         data, _ = small_linear
         path = tmp_path / "model.json"
-        for train in (TrainConfig(epochs=20),
+        for train in (TrainConfig(epochs=20, val_fraction=0.0, early_stop_patience=None),
                       TrainConfig(epochs=20, val_fraction=0.25, early_stop_patience=5)):
             model, _ = train_pipeline(data, PipelineConfig(regressor="nn", train=train, seed=5))
             save_model(model, path)

@@ -1,10 +1,12 @@
 """Network and linear-baseline regressor tests."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fofr import pipeline
 from fofr.errors import BadConfig, DivergenceDetected, ShapeMismatch
 from fofr.pipeline import PipelineConfig
 from fofr.regression import (
@@ -25,6 +27,7 @@ from fofr.regression import (
     predict_fflm,
     train_network,
 )
+from fofr.synthgen import generate, preset_scenario
 
 
 def finite_difference_grads(params, X, T, h=1e-6):
@@ -137,7 +140,8 @@ class TestFlatTrainingMatchesReference:
     def test_bit_equal(self, optimizer, activation, widths, early_stop):
         X, T = self._data()
         spec = NetworkSpec(3, widths, 2, activation, seed=23)
-        stop = dict(val_fraction=0.25, early_stop_patience=10) if early_stop else {}
+        stop = (dict(val_fraction=0.25, early_stop_patience=10) if early_stop
+                else dict(val_fraction=0.0, early_stop_patience=None))
         cfg = TrainConfig(epochs=60, batch_size=16, learning_rate=5e-2, optimizer=optimizer,
                           seed=29, **stop)
         params, log = train_network(spec, cfg, X, T)
@@ -155,7 +159,8 @@ class TestFlatTrainingMatchesReference:
     def test_diverges_at_the_same_epoch(self, optimizer, learning_rate):
         X, T = self._data(seed=31)
         spec = NetworkSpec(3, (8, 4), 2, seed=37)
-        cfg = TrainConfig(epochs=50, learning_rate=learning_rate, optimizer=optimizer, seed=41)
+        cfg = TrainConfig(epochs=50, learning_rate=learning_rate, optimizer=optimizer, seed=41,
+                          val_fraction=0.0, early_stop_patience=None)
         messages = []
         for train in (train_network, _reference_train):
             with np.errstate(all="ignore"), pytest.raises(DivergenceDetected) as err:
@@ -326,12 +331,36 @@ class TestTraining:
         TrainConfig(momentum=0.0, adam_beta1=0.0, adam_beta2=0.0, early_stop_patience=1)
         # a pipeline trains with its own seed, and validates only with both knobs
         for train, key in ((TrainConfig(seed=99), "train.seed"),
-                           (TrainConfig(val_fraction=0.2), "train.val_fraction"),
-                           (TrainConfig(early_stop_patience=5), "train.early_stop_patience")):
+                           (TrainConfig(val_fraction=0.0), "train.val_fraction"),
+                           (TrainConfig(early_stop_patience=None), "train.early_stop_patience")):
             with pytest.raises(BadConfig, match=key):
                 PipelineConfig(train=train)
         PipelineConfig(train=TrainConfig(seed=4), seed=4)
         PipelineConfig(train=TrainConfig(val_fraction=0.2, early_stop_patience=5))
+        PipelineConfig(train=TrainConfig(val_fraction=0.0, early_stop_patience=None))
+        with pytest.raises(BadConfig, match="val_fraction: 0 and early_stop_patience: null"):
+            PipelineConfig(train=TrainConfig(early_stop_patience=None))
+
+
+class TestRoundingStability:
+    def test_default_fit_ignores_rounding_of_its_inputs(self, monkeypatch):
+        # the default network stops on held-out loss well before training turns
+        # chaotic, so a rounding-level change of the scores keeps its fit
+        data, _ = generate(replace(preset_scenario("dense"), n_subjects=400, seed=5))
+        fits = []
+
+        def recording_train_network(spec, config, X, T):
+            fits.append((spec, config, X, T, *train_network(spec, config, X, T)))
+            return fits[-1][4:]
+
+        monkeypatch.setattr(pipeline, "train_network", recording_train_network)
+        pipeline.train_pipeline(data, PipelineConfig())
+        (spec, config, X, T, params, log), = fits
+        assert config == TrainConfig()
+        nudged, nudged_log = train_network(spec, config, X * (1 + 1e-14), T)
+        assert log.best_epoch is not None and len(log.train_loss) < config.epochs
+        assert nudged_log.best_epoch == log.best_epoch
+        np.testing.assert_allclose(forward(nudged, X), forward(params, X), rtol=1e-9, atol=0)
 
 
 class TestFflm:
