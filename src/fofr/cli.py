@@ -130,8 +130,7 @@ def cmd_train(args) -> int:
     save_model(model, model_out)
     if diagnostics_out:
         with open(diagnostics_out, "w", encoding="utf-8") as fh:
-            json.dump(diagnostics, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(diagnostics, sort_keys=True) + "\n")
     if args.json:
         print(json.dumps({"model": model_out, "L": diagnostics["n_inputs"],
                           "P": diagnostics["n_outputs"],

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from fofr.core import EvalGrid
 from fofr.errors import (
@@ -111,8 +110,8 @@ def _leading_eigen(A: np.ndarray, rule: TruncationRule, failed: str, empty: str)
     EIGENVALUE_FLOOR_REL of the largest, truncated by ``rule``; ``failed`` and
     ``empty`` are the messages of EigenFailure and EmptySpectrum."""
     try:
-        lam, vec = scipy.linalg.eigh(A)
-    except scipy.linalg.LinAlgError as exc:
+        lam, vec = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
         raise EigenFailure(failed) from exc
     lam = lam[::-1]
     vec = vec[:, ::-1]

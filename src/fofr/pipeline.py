@@ -586,9 +586,9 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def save_model(model: TrainedModel, path):
+    # json.dumps encodes in C; json.dump to a file always runs the Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(model_to_dict(model), sort_keys=True) + "\n")
 
 
 def load_model(path) -> TrainedModel:

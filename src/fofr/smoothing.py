@@ -22,7 +22,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from fofr.core import EvalGrid, ObservationSeries
 from fofr.errors import (
@@ -43,6 +42,11 @@ MASS_FLOOR = 1e-12
 #: subnormal numbers, which slow the matrix products several-fold, and they
 #: move a window that passes MASS_FLOOR by under 1e-88 relative
 WEIGHT_FLUSH = 1e-100
+
+#: paired subjects per block of the per-subject kernel sums: one dense
+#: product per block, over the block's own distinct sites, so the work
+#: follows observations, not subjects times sites
+SUBJECT_BLOCK = 8
 
 #: bandwidth cross-validation: subject folds and log-spaced candidates
 N_FOLDS = 5
@@ -223,6 +227,30 @@ def _raw_pairs(series_set, mean: MeanFunction):
     return (np.concatenate(t1_parts), np.concatenate(t2_parts), np.concatenate(u_parts))
 
 
+def _subject_sums(lengths, site_of, resid, W, r_cols):
+    """Per-subject sums of ``W``'s rows at each subject's sites: ``C`` weighs
+    every row by 1, ``R`` by the residual and keeps the first ``r_cols``
+    columns.  Subjects are the consecutive runs of ``lengths`` in ``site_of``
+    and ``resid``, each with strictly increasing times, so a subject meets a
+    site at most once."""
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    C = np.empty((len(lengths), W.shape[1]))
+    R = np.empty((len(lengths), r_cols))
+    for lo in range(0, len(lengths), SUBJECT_BLOCK):
+        hi = min(lo + SUBJECT_BLOCK, len(lengths))
+        b, obs = hi - lo, slice(bounds[lo], bounds[hi])
+        local, col = np.unique(site_of[obs], return_inverse=True)
+        row = np.repeat(np.arange(b), lengths[lo:hi])
+        # count rows on top, residual rows below
+        M = np.zeros((2 * b, len(local)))
+        M[row, col] = 1.0
+        M[b + row, col] = resid[obs]
+        sums = M @ W[local]
+        C[lo:hi] = sums[:b]
+        R[lo:hi] = sums[b:, :r_cols]
+    return C, R
+
+
 def smooth_covariance(series_set, mean: MeanFunction, kernel: KernelSpec,
                       grid: EvalGrid) -> CovarianceSurface:
     """Local-plane fit of pooled raw products on every grid pair, symmetrized."""
@@ -242,10 +270,7 @@ def smooth_covariance(series_set, mean: MeanFunction, kernel: KernelSpec,
 
     # per-subject kernel sums of counts and residuals; their outer products
     # cover every within-subject pair, the diagonal j = j' included
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    shape = (len(paired), len(sites))
-    C = sparse.csr_matrix((np.ones(len(times)), site_of, indptr), shape=shape) @ W
-    R = sparse.csr_matrix((resid, site_of, indptr), shape=shape) @ W[:, :2 * G]
+    C, R = _subject_sums(lengths, site_of, resid, W, 2 * G)
     # the diagonal term, collected by site
     n = np.bincount(site_of, minlength=len(sites)).astype(float)
     rsq = np.bincount(site_of, weights=resid * resid, minlength=len(sites))

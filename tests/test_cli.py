@@ -2,13 +2,17 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import fofr
 from fofr.cli import RunConfig, SplitConfig, evaluate_csv, main, write_predictions_csv
 from fofr.core import (PREDICTIONS_HEADER, Interval, _read_series, load_dataset, load_schema,
                        make_grid)
@@ -55,6 +59,17 @@ def trained(synthesized, capsys):
                      "--baseline", "fflm")
     assert code == 0
     return tmp, out_dir, model, diag
+
+
+class TestImports:
+    def test_cli_loads_no_scipy(self):
+        # fofr runs on numpy alone; scipy backs only the tests' oracles
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fofr.__file__)))
+        code = ("import sys, fofr.cli; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestSynth:
@@ -108,6 +123,12 @@ class TestTrain:
         assert doc["n_inputs"] == 4 and doc["n_outputs"] == 3
         assert doc["regressor"]["kind"] == "fflm"
         assert doc["regressor"]["n_params"] == 12  # P*L = 3*4
+
+    def test_diagnostics_bytes_match_json_dump(self, trained):
+        *_, diag = trained
+        oracle = io.StringIO()
+        json.dump(json.loads(diag.read_text()), oracle, sort_keys=True)
+        assert diag.read_bytes() == (oracle.getvalue() + "\n").encode("utf-8")
 
     def test_missing_arguments_exit_2(self, capsys):
         code, _, _ = run(capsys, "train", "--data", "x.csv")

@@ -1,8 +1,12 @@
 """FPCA tests against analytically known spectra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from fofr import synthgen
 from fofr.core import Interval, make_grid
 from fofr.errors import (
     BlockMismatch,
@@ -12,6 +16,7 @@ from fofr.errors import (
     TooFewSubjects,
 )
 from fofr.fpca import (
+    EIGENVALUE_FLOOR_REL,
     TruncationRule,
     cumulative_fve,
     multivariate_fpca,
@@ -22,7 +27,13 @@ from fofr.fpca import (
     select_truncation,
     univariate_fpca,
 )
-from fofr.smoothing import CovarianceSurface
+from fofr.smoothing import (
+    CovarianceSurface,
+    KernelSpec,
+    resolve_bandwidths,
+    smooth_covariance,
+    smooth_mean,
+)
 from fofr.synthgen import PlantedBasis
 
 
@@ -67,7 +78,55 @@ class TestSelectTruncation:
             TruncationRule(0.99, max_components=0)
 
 
+def smoothed_surfaces(sampling, n_subjects=120):
+    """(name, surface) of every channel of the dense preset's structure
+    under ``sampling``, smoothed as the pipeline does."""
+    scenario = replace(synthgen.preset_scenario("dense"), n_subjects=n_subjects,
+                       sampling=sampling)
+    dataset, _ = synthgen.generate(scenario)
+    grid_size = synthgen.dataset_schema(scenario).grid_size
+    out = []
+    for side, domain, rows in (("x", dataset.covariate_domain, dataset.covariates),
+                               ("y", dataset.response_domain, dataset.responses)):
+        grid = make_grid(domain, grid_size)
+        for c in range(len(rows[0])):
+            series = [row[c] for row in rows]
+            kernel = resolve_bandwidths(series, KernelSpec(), grid)
+            mean = smooth_mean(series, kernel, grid)
+            out.append((f"{side}{c + 1}", smooth_covariance(series, mean, kernel, grid)))
+    return out
+
+
+def scipy_univariate_reference(surface, rule):
+    """Eigenvalues and sign-fixed eigenfunctions of the weighted operator
+    from ``scipy.linalg.eigh``, which ``univariate_fpca`` called before."""
+    sw = np.sqrt(surface.grid.quad_weights)
+    A = sw[:, None] * surface.values * sw[None, :]
+    lam, vec = scipy.linalg.eigh(0.5 * (A + A.T))
+    lam, vec = lam[::-1], vec[:, ::-1]
+    keep = lam >= EIGENVALUE_FLOOR_REL * lam[0]
+    lam, vec = lam[keep], vec[:, keep]
+    p = select_truncation(lam, rule)
+    funcs = (vec[:, :p] / sw[:, None]).T
+    peaks = funcs[np.arange(p), np.argmax(np.abs(funcs), axis=1)]
+    return lam[:p], funcs * np.sign(peaks)[:, None]
+
+
 class TestUnivariateFpca:
+    @pytest.mark.parametrize("sampling", [("dense", 61), ("irregular", 20, 5)],
+                             ids=["dense", "irregular"])
+    def test_matches_scipy_eigh(self, sampling):
+        surfaces = smoothed_surfaces(sampling)
+        assert len(surfaces) == 4
+        for name, surface in surfaces:
+            rule = TruncationRule()
+            lam, funcs = scipy_univariate_reference(surface, rule)
+            system = univariate_fpca(surface, rule, name)
+            assert system.n_components == len(lam), name
+            np.testing.assert_allclose(system.eigenvalues, lam, rtol=1e-12, err_msg=name)
+            np.testing.assert_allclose(system.eigenfunctions, funcs, rtol=0, atol=1e-10,
+                                       err_msg=name)
+
     def test_recovers_planted_spectrum(self):
         grid = make_grid(Interval(0, 1), 201)
         lam = [1.0, 0.5, 0.25]

@@ -1,6 +1,7 @@
 """End-to-end pipeline, persistence and metric tests."""
 
 import hashlib
+import io
 import json
 from dataclasses import replace
 
@@ -405,6 +406,14 @@ class TestPersistence:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_bytes_match_json_dump(self, fflm_model, nn_model, tmp_path):
+        for name, (model, _) in (("fflm", fflm_model), ("nn", nn_model)):
+            path = tmp_path / f"{name}.json"
+            save_model(model, path)
+            oracle = io.StringIO()
+            json.dump(model_to_dict(model), oracle, sort_keys=True)
+            assert path.read_bytes() == (oracle.getvalue() + "\n").encode("utf-8"), name
 
     def test_version_mismatch(self, fflm_model, tmp_path):
         model, _ = fflm_model

@@ -13,6 +13,7 @@ from fofr.core import Interval, ObservationSeries, make_grid
 from fofr.errors import AllCandidatesDegenerate, DegenerateWindow, NoPairs, NonFiniteFit
 from fofr.smoothing import (
     MASS_FLOOR,
+    SUBJECT_BLOCK,
     WEIGHT_FLUSH,
     CovarianceSurface,
     KernelSpec,
@@ -20,7 +21,9 @@ from fofr.smoothing import (
     StandardizationParams,
     _cv_errors,
     _interp2,
+    _kernel_table,
     _raw_pairs,
+    _subject_sums,
     bandwidth_candidates,
     build_standardization,
     destandardize,
@@ -105,6 +108,16 @@ def loop_mean_reference(series_set, kernel, grid):
     return out
 
 
+def csr_subject_sums(lengths, site_of, resid, W, r_cols):
+    """The two sparse (subjects x sites) products that the blocked dense
+    subject sums replaced."""
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    shape = (len(lengths), W.shape[0])
+    C = sparse.csr_matrix((np.ones(len(site_of)), site_of, indptr), shape=shape) @ W
+    R = sparse.csr_matrix((resid, site_of, indptr), shape=shape) @ W[:, :r_cols]
+    return C, R
+
+
 def lu_covariance_reference(series_set, mean, kernel, grid):
     """The covariance smoother that solved every window's (3, 3) plane system
     by LU (``np.linalg.solve``) where the smoother now takes the intercept by
@@ -120,10 +133,7 @@ def lu_covariance_reference(series_set, mean, kernel, grid):
     w0 = kernel.weights(d / h)
     w0[w0 < WEIGHT_FLUSH] = 0.0
     W = np.concatenate([w0, w0 * d, w0 * d * d], axis=1)
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    shape = (len(paired), len(sites))
-    C = sparse.csr_matrix((np.ones(len(times)), site_of, indptr), shape=shape) @ W
-    R = sparse.csr_matrix((resid, site_of, indptr), shape=shape) @ W[:, :2 * G]
+    C, R = csr_subject_sums(lengths, site_of, resid, W, 2 * G)
     n = np.bincount(site_of, minlength=len(sites)).astype(float)
     rsq = np.bincount(site_of, weights=resid * resid, minlength=len(sites))
     S = C.T @ C[:, :2 * G] - W.T @ (n[:, None] * W[:, :2 * G])
@@ -433,6 +443,74 @@ class TestCovarianceSmoother:
             smooth_covariance(singles, mean, kernel, grid)
         with pytest.raises(NoPairs):
             _raw_pairs(singles, mean)
+
+
+def synth_channel(n_subjects, sampling):
+    """First covariate channel and grid of the dense preset's structure."""
+    scenario = replace(synthgen.preset_scenario("dense"), n_subjects=n_subjects,
+                       sampling=sampling)
+    dataset, _ = synthgen.generate(scenario)
+    grid = make_grid(dataset.covariate_domain, synthgen.dataset_schema(scenario).grid_size)
+    return [row[0] for row in dataset.covariates], grid
+
+
+SUBJECT_SUM_DESIGNS = ("ragged", "singletons", "partial block", "dense", "irregular")
+
+
+def subject_sum_design(name):
+    """(series, grid) of one design the blocked subject sums must match the
+    sparse products on."""
+    rng = np.random.default_rng(11)
+    grid = make_grid(Interval(0, 1), 31)
+    if name == "ragged":
+        return random_series_set(rng, n_subjects=4 * SUBJECT_BLOCK, m_lo=2, m_hi=15), grid
+    if name == "singletons":  # about a third of the subjects have one observation
+        return random_series_set(rng, n_subjects=40, m_lo=1, m_hi=3), grid
+    if name == "partial block":
+        return random_series_set(rng, n_subjects=3 * SUBJECT_BLOCK + 5), grid
+    if name == "dense":
+        return synth_channel(3 * SUBJECT_BLOCK + 1, ("dense", 61))
+    return synth_channel(5 * SUBJECT_BLOCK - 3, ("irregular", 20, 5))
+
+
+class TestSubjectSums:
+    """The per-subject kernel sums of ``smooth_covariance``, one dense product
+    per block of subjects, against the sparse products they replaced."""
+
+    @pytest.mark.parametrize("name", SUBJECT_SUM_DESIGNS)
+    def test_blocks_match_sparse_products(self, name):
+        series, grid = subject_sum_design(name)
+        kernel = resolve_bandwidths(series, KernelSpec(), grid)
+        mean = smooth_mean(series, kernel, grid)
+        paired = [s for s in series if len(s) > 1]
+        lengths = np.array([len(s) for s in paired])
+        times = np.concatenate([s.times for s in paired])
+        resid = np.concatenate([s.values for s in paired]) - mean.at(times)
+        sites, site_of = np.unique(times, return_inverse=True)
+        W = np.concatenate(_kernel_table(kernel, kernel.bandwidth_cov, sites, grid), axis=1)
+        if name == "singletons":
+            assert 0 < len(paired) < len(series) - 5
+        if name == "dense":
+            assert len(sites) == lengths[0]
+        if name == "partial block":
+            assert len(paired) % SUBJECT_BLOCK
+        if name == "irregular":
+            block = site_of[:np.sum(lengths[:SUBJECT_BLOCK])]
+            assert len(np.unique(block)) > 2 * SUBJECT_BLOCK
+        C, R = _subject_sums(lengths, site_of, resid, W, 2 * grid.size)
+        C_ref, R_ref = csr_subject_sums(lengths, site_of, resid, W, 2 * grid.size)
+        assert C.shape == C_ref.shape and R.shape == R_ref.shape
+        for got, ref in ((C, C_ref), (R, R_ref)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+    def test_surface_with_singletons_matches_lu_reference(self):
+        # subjects with one observation hold no pair and are left out
+        series, grid = subject_sum_design("singletons")
+        kernel = resolve_bandwidths(series, KernelSpec(), grid)
+        mean = smooth_mean(series, kernel, grid)
+        ref = lu_covariance_reference(series, mean, kernel, grid)
+        fit = smooth_covariance(series, mean, kernel, grid)
+        np.testing.assert_allclose(fit.values, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 class TestStandardization:
