@@ -20,7 +20,7 @@ from fofr.core import (
     _config_from_json,
     _read_json,
     _read_series,
-    _write_long_csv,
+    _write_subjects,
     load_dataset,
     load_schema,
     write_dataset,
@@ -146,11 +146,14 @@ def cmd_train(args) -> int:
 
 def write_predictions_csv(predictions, path):
     """Long CSV of predicted curves on the response grid; repr-float round-trip."""
-    times = predictions.grid.points
-    _write_long_csv(path, PREDICTIONS_HEADER, (
-        ((sid, name), times, curve)
-        for sid, curves in zip(predictions.subject_ids, predictions.values)
-        for name, curve in zip(predictions.channel_names, curves)))
+    times, values = predictions.grid.points, predictions.values
+
+    def blocks(lo, hi):
+        return (((sid, name), times, curve)
+                for sid, curves in zip(predictions.subject_ids[lo:hi], values[lo:hi])
+                for name, curve in zip(predictions.channel_names, curves))
+
+    _write_subjects(path, PREDICTIONS_HEADER, blocks, [curves.size for curves in values])
 
 
 def cmd_predict(args) -> int:
@@ -218,6 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fofr",
         description="Non-linear function-on-function regression for time series")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log debug lines, such as how each large CSV was read or written")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset from a scenario file")
@@ -266,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
+    logging.getLogger("fofr").setLevel(logging.DEBUG if args.verbose else logging.NOTSET)
     try:
         return args.func(args)
     except (FofrError, OSError) as exc:  # an OSError is an unreadable or unwritable path

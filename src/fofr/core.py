@@ -8,10 +8,18 @@ on which they live.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import logging
+import os
+import pickle
+import shutil
+import signal
+import threading
 import typing
+import warnings
 from array import array
 from dataclasses import dataclass, is_dataclass, replace
 from itertools import chain, repeat
@@ -35,6 +43,8 @@ PREDICTIONS_HEADER = ["subject_id", "variable_id", "time", "value"]
 MIN_POOLED_TIMES = 10
 #: pooled training times must span at least this share of the declared interval
 MIN_POOLED_SPAN = 0.9
+
+logger = logging.getLogger("fofr")
 
 
 @dataclass(frozen=True)
@@ -323,8 +333,83 @@ def load_schema(path) -> DatasetSchema:
 #: its short-lived strings and lists grow the heap (64 KiB raised peak RSS ~1 MB)
 _CHUNK_CHARS = 1 << 13
 
+#: a long CSV of at least this many bytes is read in two processes, and one
+#: of at least this many rows written in two; on smaller files the fork, the
+#: page faults on the memory it shares and the transfer back cost about what
+#: the second core saves
+SPLIT_BYTES = 1 << 21
+SPLIT_ROWS = 1 << 16
+#: bytes searched for the line end that ends the header or a file's first half
+_LINE_SEARCH = 1 << 16
 
-def _chunks(fh, ncol):
+
+class _Serial(Exception):
+    """A half of a long CSV that only the serial reader or writer may convert."""
+
+
+def _two_processes(size, threshold) -> bool:
+    """Whether a long CSV of ``size`` bytes or rows is converted in two
+    processes: when it is at least ``threshold`` large, this process may fork
+    (no other Python thread runs) and it may run on two or more cores."""
+    return (size >= threshold and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _current_cpu():
+    """The core this process runs on (field 39 of ``/proc/self/stat``), or None."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+@contextlib.contextmanager
+def _forked(work):
+    """Run ``work(out)`` in a forked child, ``out`` being the write end of a
+    pipe as a binary file, and yield the read end to this process.
+
+    The child moves off this process's core: where the kernel does not
+    balance load between cores (a cpuset with ``sched_load_balance`` off), a
+    forked child stays on its parent's core, and the two halves run in turn.
+    The child always ends with ``os._exit``, with status 0 once ``work`` has
+    returned.  This process reaps it on every path, killing it first when the
+    block raised; when the block returned but the child failed, ``_Serial``
+    is raised.
+    """
+    others = os.sched_getaffinity(0) - {_current_cpu()}
+    r, w = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns of any other OS thread, such as an idle BLAS pool;
+        # the child runs no BLAS and never returns to the caller's code
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            if others:
+                os.sched_setaffinity(0, others)
+            with open(w, "wb") as out:
+                work(out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    status = None
+    try:
+        with open(r, "rb") as pipe:
+            yield pipe
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status != 0:
+        raise _Serial
+
+
+def _chunks(fh, ncol, fast_only=False):
     """Yield the data rows of ``fh`` in chunks as ``(rows, columns)``.
 
     ``columns`` holds the chunk's ``ncol`` fields column by column, or is None
@@ -333,12 +418,15 @@ def _chunks(fh, ncol):
     of quotes, carriage returns and NULs (which the csv module rejects before
     Python 3.11), and shorter than its field limit, parses as ``str.split``
     does; from the first chunk that is not, ``csv.reader`` parses the rest of
-    the file, so a quoted field may span lines and chunks.
+    the file, so a quoted field may span lines and chunks.  With ``fast_only``
+    such a chunk raises ``_Serial`` instead.
     """
     while lines := fh.readlines(_CHUNK_CHARS):
         text = "".join(lines)
         if (len(text) >= csv.field_size_limit() or '"' in text or "\r" in text
                 or "\0" in text):
+            if fast_only:
+                raise _Serial
             break
         n = len(lines)
         if list(map(str.count, lines, repeat(","))).count(ncol - 1) != n:
@@ -383,6 +471,104 @@ def _check_rows(path, rows, ncol, lineno):
             raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
 
 
+def _convert(fh, ncol, path, fast_only=False):
+    """The data rows of ``fh`` as ``(seen, codes, times, values)``: per id
+    column a {name: code} dict in order of first appearance and an array of
+    the codes, then arrays of the times and of the values.
+
+    The rows are converted a chunk at a time (see ``_chunks``); the first bad
+    line is searched for only in a chunk that fails to convert, and raises
+    MalformedRow naming its line of ``path``, the first row being line 2.
+    With ``fast_only``, a bad row raises ``_Serial`` instead, as does a chunk
+    that needs ``csv.reader``.
+    """
+    seen = [{} for _ in range(ncol - 2)]
+    codes = [array("i") for _ in range(ncol - 2)]
+    times, values = array("d"), array("d")
+    for rows, columns in _chunks(fh, ncol, fast_only):
+        try:
+            if columns is None:  # a row has the wrong field count
+                raise ValueError
+            n = len(columns[0])
+            t, v = (np.fromiter(map(float, col), float, n) for col in columns[-2:])
+        except ValueError:
+            if fast_only:
+                raise _Serial from None
+            _check_rows(path, rows, ncol, len(times) + 2)
+            raise
+        times.frombytes(t.tobytes())
+        values.frombytes(v.tobytes())
+        for first, column, names in zip(seen, codes, columns):
+            for name in dict.fromkeys(names):
+                first.setdefault(name, len(first))
+            column.frombytes(np.fromiter(map(first.__getitem__, names), np.intc, n).tobytes())
+    return seen, codes, times, values
+
+
+class _Window(io.RawIOBase):
+    """Bytes ``start`` up to ``stop`` of the file open at descriptor ``fd``,
+    read with ``os.pread``, which leaves the descriptor's offset alone."""
+
+    def __init__(self, fd, start, stop):
+        self.fd, self.pos, self.stop = fd, start, stop
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        data = os.pread(self.fd, min(len(buffer), self.stop - self.pos), self.pos)
+        buffer[:len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+
+def _read_in_two(path, fd, ncol):
+    """``_convert``'s columns of the long CSV open at ``fd``, whose header
+    has been read, or None when it is to be read serially.
+
+    A file of at least ``SPLIT_BYTES`` bytes is cut at the first line end
+    past the middle of its data rows.  This process converts the first half
+    while a forked child converts the second and sends it back pickled; the
+    second half's ids are then coded after the first's.  When the header line
+    holds a quote or carriage return, or either half meets a chunk that needs
+    ``csv.reader``, a bad row or bytes that are not UTF-8, None is returned,
+    so that the serial reader reports every fault as it would on its own.
+    """
+    size = os.fstat(fd).st_size
+    if not _two_processes(size, SPLIT_BYTES):
+        return None
+    head = os.pread(fd, _LINE_SEARCH, 0)
+    start = head.find(b"\n") + 1
+    mid = (start + size) // 2
+    split = mid + os.pread(fd, _LINE_SEARCH, mid).find(b"\n") + 1
+    if not start or b'"' in head[:start] or b"\r" in head[:start] or not mid < split < size:
+        return None
+
+    def half(lo, hi):
+        with io.TextIOWrapper(io.BufferedReader(_Window(fd, lo, hi)),
+                              encoding="utf-8", newline="") as fh:
+            try:
+                return _convert(fh, ncol, path, fast_only=True)
+            except UnicodeDecodeError as exc:
+                raise _Serial from exc
+
+    try:
+        with _forked(lambda out: pickle.dump(half(split, size), out)) as pipe:
+            first = half(start, split)
+            second = pickle.load(pipe)
+    except (_Serial, EOFError, pickle.UnpicklingError):
+        logger.debug("read %s in one process: a half needs the serial reader", path)
+        return None
+    logger.debug("read %s in two processes: %d + %d rows", path, len(first[2]), len(second[2]))
+    seen, codes, times, values = first
+    for names, column, more, more_codes in zip(seen, codes, *second[:2]):
+        recode = np.array([names.setdefault(name, len(names)) for name in more], np.intc)
+        column.frombytes(recode[np.frombuffer(more_codes, np.intc)].tobytes())
+    times.extend(second[2])
+    values.extend(second[3])
+    return first
+
+
 def _read_columns(path, headers=(CSV_HEADER,)):
     """Read a long CSV whose header is one of ``headers`` into columns,
     rejecting a wrong field count and non-numeric or non-finite numbers.
@@ -390,10 +576,11 @@ def _read_columns(path, headers=(CSV_HEADER,)):
     Returns ``(ids, times, values)``.  ``ids`` holds a ``(names, codes)`` pair
     per id column (subject, variable, then role if the file has one); names
     are in order of first appearance.  Row i of the columns is line i + 2.
-    The file is converted a chunk of rows at a time (see ``_chunks``); the
-    first bad line is searched for only in a chunk that fails to convert.
-    Bytes that are not UTF-8 are found a chunk ahead, so they may be reported
-    in place of a bad row up to ``_CHUNK_CHARS`` characters before them.
+    The file is converted a chunk of rows at a time (see ``_convert``), in
+    two processes when it is large (see ``_read_in_two``), with the same
+    result.  Bytes that are not UTF-8 are found a chunk ahead, so they may be
+    reported in place of a bad row up to ``_CHUNK_CHARS`` characters before
+    them.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -402,25 +589,8 @@ def _read_columns(path, headers=(CSV_HEADER,)):
                 expected = " or ".join(repr(",".join(h)) for h in headers)
                 raise MalformedRow(f"{path}: expected header {expected}, got {header!r}")
             ncol = len(header)
-            seen = [{} for _ in header[:-2]]  # id -> code in order of appearance
-            codes = [array("i") for _ in header[:-2]]
-            times, values = array("d"), array("d")
-            for rows, columns in _chunks(fh, ncol):
-                try:
-                    if columns is None:  # a row has the wrong field count
-                        raise ValueError
-                    n = len(columns[0])
-                    t, v = (np.fromiter(map(float, col), float, n) for col in columns[-2:])
-                except ValueError:
-                    _check_rows(path, rows, ncol, len(times) + 2)
-                    raise
-                times.frombytes(t.tobytes())
-                values.frombytes(v.tobytes())
-                for first, column, names in zip(seen, codes, columns):
-                    for name in dict.fromkeys(names):
-                        first.setdefault(name, len(first))
-                    column.frombytes(
-                        np.fromiter(map(first.__getitem__, names), np.intc, n).tobytes())
+            seen, codes, times, values = (_read_in_two(path, fh.fileno(), ncol)
+                                          or _convert(fh, ncol, path))
     except (csv.Error, UnicodeDecodeError) as exc:  # bad quoting or encoding
         raise MalformedRow(f"{path}: unreadable CSV ({exc})") from exc
 
@@ -534,9 +704,9 @@ def load_dataset(path, schema: DatasetSchema) -> FunctionalDataset:
     )
 
 
-def _write_long_csv(path, header, blocks):
-    """Write a long CSV: ``header``, then for each ``(ids, times, values)``
-    block one row ``*ids, t, v`` per observation.
+def _long_csv_rows(blocks):
+    """The rows of a long CSV, one string per ``(ids, times, values)`` block
+    holding one row ``*ids, t, v`` per observation.
 
     The id fields of a block are quoted once, by ``csv.writer``'s rules with
     a ``\r\n`` terminator, so that an id holding ``\r`` or ``\n`` is quoted;
@@ -544,17 +714,52 @@ def _write_long_csv(path, header, blocks):
     whose ``times`` repeat the block before it bit for bit reuses its strings
     (bits, not values: ``-0.0 == 0.0``, but their ``repr``s differ).
     """
+    last = stamps = None
+    for ids, times, values in blocks:
+        if (key := (times.dtype.str, times.tobytes())) != last:
+            last, stamps = key, [repr(t) for t in times.tolist()]
+        record = io.StringIO()
+        csv.writer(record, lineterminator="\r\n").writerow(ids)
+        prefix = record.getvalue()[:-2]
+        yield "".join([f"{prefix},{t},{v!r}\n" for t, v in zip(stamps, values.tolist())])
+
+
+def _write_long_csv(path, header, blocks, tail=None):
+    """Write a long CSV: ``header``, the rows of ``blocks`` (see
+    ``_long_csv_rows``), then the bytes of the binary file ``tail``, if any."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        last = stamps = None
-        for ids, times, values in blocks:
-            if (key := (times.dtype.str, times.tobytes())) != last:
-                last, stamps = key, [repr(t) for t in times.tolist()]
-            record = io.StringIO()
-            csv.writer(record, lineterminator="\r\n").writerow(ids)
-            prefix = record.getvalue()[:-2]
-            fh.write("".join([f"{prefix},{t},{v!r}\n"
-                              for t, v in zip(stamps, values.tolist())]))
+        fh.writelines(_long_csv_rows(blocks))
+        if tail is not None:
+            fh.flush()
+            shutil.copyfileobj(tail, fh.buffer)
+
+
+def _write_subjects(path, header, blocks, rows):
+    """Write the long CSV of ``blocks(lo, hi)``, the blocks of subjects
+    ``lo`` to ``hi - 1``, where subject i has ``rows[i]`` rows.
+
+    A file of at least ``SPLIT_ROWS`` rows is cut between the subjects that
+    halve its rows: a forked child formats the second half of the subjects
+    while this process writes the first, then sends its bytes to follow
+    them.  The bytes are those of one ``_write_long_csv`` over all subjects.
+    """
+    ends = np.cumsum(rows)
+    total = int(ends[-1]) if len(ends) else 0
+    mid = int(np.searchsorted(ends, total / 2, side="right"))
+    if _two_processes(total, SPLIT_ROWS) and 0 < mid < len(rows):
+        def work(out):
+            out.write("".join(_long_csv_rows(blocks(mid, len(rows)))).encode("utf-8"))
+
+        try:
+            with _forked(work) as pipe:
+                _write_long_csv(path, header, blocks(0, mid), pipe)
+            logger.debug("wrote %s in two processes: %d + %d rows",
+                         path, ends[mid - 1], total - ends[mid - 1])
+            return
+        except _Serial:
+            logger.debug("wrote %s in one process: the second half failed", path)
+    _write_long_csv(path, header, blocks(0, len(rows)))
 
 
 def write_dataset(dataset: FunctionalDataset, path):
@@ -562,11 +767,16 @@ def write_dataset(dataset: FunctionalDataset, path):
     sides = [("covariate", dataset.covariate_names, dataset.covariates)]
     if dataset.responses is not None:
         sides.append(("response", dataset.response_names, dataset.responses))
-    _write_long_csv(path, CSV_HEADER, (
-        ((sid, name, role), series.times, series.values)
-        for i, sid in enumerate(dataset.subject_ids)
-        for role, names, rows in sides
-        for name, series in zip(names, rows[i])))
+
+    def blocks(lo, hi):
+        return (((sid, name, role), series.times, series.values)
+                for i, sid in enumerate(dataset.subject_ids[lo:hi], lo)
+                for role, names, rows in sides
+                for name, series in zip(names, rows[i]))
+
+    rows = [sum(len(series) for _, _, side_rows in sides for series in side_rows[i])
+            for i in range(dataset.n_subjects)]
+    _write_subjects(path, CSV_HEADER, blocks, rows)
 
 
 def write_schema(schema: DatasetSchema, path):

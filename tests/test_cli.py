@@ -4,7 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import fofr
+from fofr import core
 from fofr.cli import RunConfig, SplitConfig, evaluate_csv, main, write_predictions_csv
 from fofr.core import (PREDICTIONS_HEADER, Interval, _read_series, load_dataset, load_schema,
                        make_grid)
@@ -410,6 +413,43 @@ class TestWritePredictionsCsv:
                 times, curve = series[sid, name]
                 assert times.tobytes() == grid.points.tobytes()
                 assert curve.tobytes() == values[i, d].tobytes()
+
+    def test_split_write_matches_serial(self, tmp_path, monkeypatch):
+        grid = make_grid(Interval(0.0, 2.0), 7)
+        ids = ("a,b", 'q"t', " lead", "é", "two\nlines")
+        values = np.random.default_rng(4).standard_normal((len(ids), 2, grid.size))
+        values[2:, :, 0] = -0.0
+        predictions = PredictionSet(ids, ("y,1", "y2"), grid, values)
+        path, serial = tmp_path / "pred.csv", tmp_path / "serial.csv"
+        write_predictions_csv(predictions, serial)
+        monkeypatch.setattr(core, "SPLIT_ROWS", 0)
+        write_predictions_csv(predictions, path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert path.read_bytes() == serial.read_bytes()
+
+
+class TestVerbose:
+    def test_verbose_logs_each_split_read_and_write(self, trained, tmp_path, monkeypatch,
+                                                    capsys, caplog):
+        tmp, out_dir, model, _ = trained
+        data, pred = out_dir / "data.csv", tmp_path / "pred.csv"
+        monkeypatch.setattr(core, "SPLIT_BYTES", 0)
+        monkeypatch.setattr(core, "SPLIT_ROWS", 0)
+        argv = ["predict", "--model", str(model), "--data", str(data),
+                "--schema", str(out_dir / "schema.json"), "--out", str(pred)]
+        assert run(capsys, "-v", *argv)[0] == 0
+        read, wrote = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        halves = re.fullmatch(rf"read {re.escape(str(data))} in two processes: (\d+) \+ (\d+) rows",
+                              read)
+        assert halves and sum(map(int, halves.groups())) == len(data.read_text().splitlines()) - 1
+        assert wrote == f"wrote {pred} in two processes: 4040 + 4040 rows"  # 20 subjects each
+        caplog.clear()
+        assert run(capsys, "--verbose", *argv)[0] == 0
+        assert len([r for r in caplog.records if r.levelno == logging.DEBUG]) == 2
+        caplog.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert not [r for r in caplog.records if r.levelno < logging.WARNING]
 
 
 class TestEvaluate:

@@ -2,9 +2,13 @@
 
 import csv
 import io
+import logging
+import os
 import re
 from array import array
 from dataclasses import replace
+from functools import partial
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -352,18 +356,28 @@ IDS = ["s0000", "s0001", "x1", "y2", "covariate", "response", "a,b", 'q"t', "two
 SPLICES = ['"', "\r", "\0", "\n", "\r\n", ",", "\n\n", "nan", "1e400", "x", " "]
 
 
+#: characters that make a chunk need ``csv.reader``, or that ``csv.writer`` quotes
+SPECIAL = ',"\r\n\0'
+
+
 @st.composite
-def long_csv_texts(draw):
+def long_csv_texts(draw, plain=False):
     """A long CSV written by ``csv.writer`` (either header, LF or CRLF line
     ends, with or without a final line end), then edited character-wise
-    after the header."""
+    after the header.  A ``plain`` text has LF line ends and holds no quote,
+    carriage return or NUL: only a bad row sends it to ``csv.reader``."""
     header = draw(st.sampled_from([CSV_HEADER, PREDICTIONS_HEADER]))
-    field_id = st.sampled_from(IDS) | st.text(max_size=3)
+    ids, splices, strings = IDS, SPLICES, st.text
+    if plain:
+        ids = [i for i in IDS if not set(i) & set(SPECIAL)]
+        splices = [s for s in SPLICES if not set(s) & set('"\r\0')]
+        strings = partial(st.text, st.characters(blacklist_characters=SPECIAL))
+    field_id = st.sampled_from(ids) | strings(max_size=3)
     number = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
               | st.sampled_from(["-0.0", "1e-320", " 2 ", "1_0", "1e400"]))
     row = st.tuples(*[field_id] * (len(header) - 2), number, number).map(list)
     rows = draw(st.lists(row, max_size=12))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
     buf = io.StringIO()
     csv.writer(buf, lineterminator=end).writerows([header] + rows)
     text = buf.getvalue()
@@ -373,18 +387,76 @@ def long_csv_texts(draw):
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(min(body, len(text)), len(text)))
         if draw(st.booleans()):
-            text = text[:i] + draw(st.sampled_from(SPLICES) | st.text(max_size=2)) + text[i:]
+            text = text[:i] + draw(st.sampled_from(splices) | strings(max_size=2)) + text[i:]
         else:
             text = text[:i] + text[i + draw(st.integers(1, 40)):]
     return text
+
+
+ROW = "s0000,x1,covariate,0.5,1.25\n"
+HEAD = ",".join(CSV_HEADER) + "\n"
+#: texts the reader must take as the reference reader does, and the error
+#: they raise (None: they load)
+DIALECT_CASES = [
+    pytest.param(HEAD + '"a,b",x1,covariate,0.5,1.25\n', None, id="quoted-comma"),
+    pytest.param(HEAD + '"q""t",x1,covariate,0.5,1.25\n', None, id="quoted-quote"),
+    pytest.param(HEAD + ROW + '"two\nlines",x1,covariate,0.5,1.25\n' + ROW, None,
+                 id="quoted-newline"),
+    pytest.param((HEAD + ROW * 3).replace("\n", "\r\n"), None, id="crlf"),
+    pytest.param((HEAD + ROW * 3).replace("\n", "\r"), None, id="cr"),
+    pytest.param(HEAD + ROW + "\n" + ROW, "expected 5 fields, got 0", id="blank-line"),
+    pytest.param(HEAD + ROW * 2 + ROW[:-1], None, id="no-final-newline"),
+    pytest.param(HEAD + ROW + "s0\0,x1,covariate,0.5,1.25\n", None, id="nul"),
+    pytest.param(HEAD + ROW + 's0000,x1,covariate,"0.5,1\n' + ROW * 6000,
+                 "field larger than", id="unclosed-quote"),
+    pytest.param(HEAD + ROW + "s" * 140_000 + ",x1,covariate,0.5,1.25\n",
+                 "field larger than", id="long-unquoted-field"),
+    pytest.param(HEAD + ROW + "s0000,x1,covariate,0.5,abc\n" + '"a,b",x1\n',
+                 ":3: non-numeric", id="bad-number-before-quote"),
+    pytest.param(HEAD + ROW + "s0000,x1\n" + ROW + "s0\0\n",
+                 ":3: expected 5 fields, got 2", id="bad-count-before-nul"),
+    pytest.param(HEAD + '"q",x1,covariate,0.5,1\n' + "s0000,x1\n"
+                 + 's0000,x1,covariate,"0.5,1\n' + ROW * 6000,
+                 ":3: expected 5 fields, got 2", id="bad-count-before-unclosed-quote"),
+    pytest.param(HEAD + ROW + "s0000,x1,covariate,nan,1\n" + "s0000,x1\n",
+                 ":4: expected 5 fields", id="bad-count-after-nan"),
+    pytest.param(HEAD, "no data rows", id="header-only"),
+    pytest.param("", "expected header", id="empty"),
+]
 
 
 #: a chunk of a few characters holds one line, so every line starts a chunk
 CHUNK_SIZES = [1, 3, 40, 1 << 16]
 
 
+def no_child_left():
+    """Whether every child process this one forked has been reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def split_read_outcome(path, chunk=core._CHUNK_CHARS):
+    """``read_outcome`` of ``core._read_columns`` with no size threshold for
+    reading in two processes, checking that no child is left."""
+    with mock.patch.object(core, "SPLIT_BYTES", 0), mock.patch.object(core, "_CHUNK_CHARS", chunk):
+        outcome = read_outcome(core._read_columns, path)
+    assert no_child_left()
+    return outcome
+
+
+def many_rows(n=1000):
+    """Data rows of a long CSV with ids repeated at different strides, so
+    that the second half holds both ids of the first and new ones."""
+    return [f"s{i % (7 + i // 500):04d},x{i % 3},covariate,{i / 7!r},{i * 1.5!r}\n"
+            for i in range(n)]
+
+
 class TestColumnReader:
-    """``core._read_columns`` against the row-at-a-time reference reader."""
+    """``core._read_columns``, in one process and in two, against the
+    row-at-a-time reference reader."""
 
     @staticmethod
     def _write(tmp_path, text):
@@ -400,35 +472,7 @@ class TestColumnReader:
             assert read_outcome(core._read_columns, path) == \
                 read_outcome(reference_read_columns, path)
 
-    ROW = "s0000,x1,covariate,0.5,1.25\n"
-    HEAD = ",".join(CSV_HEADER) + "\n"
-
-    @pytest.mark.parametrize("text, error", [
-        pytest.param(HEAD + '"a,b",x1,covariate,0.5,1.25\n', None, id="quoted-comma"),
-        pytest.param(HEAD + '"q""t",x1,covariate,0.5,1.25\n', None, id="quoted-quote"),
-        pytest.param(HEAD + ROW + '"two\nlines",x1,covariate,0.5,1.25\n' + ROW, None,
-                     id="quoted-newline"),
-        pytest.param((HEAD + ROW * 3).replace("\n", "\r\n"), None, id="crlf"),
-        pytest.param((HEAD + ROW * 3).replace("\n", "\r"), None, id="cr"),
-        pytest.param(HEAD + ROW + "\n" + ROW, "expected 5 fields, got 0", id="blank-line"),
-        pytest.param(HEAD + ROW * 2 + ROW[:-1], None, id="no-final-newline"),
-        pytest.param(HEAD + ROW + "s0\0,x1,covariate,0.5,1.25\n", None, id="nul"),
-        pytest.param(HEAD + ROW + 's0000,x1,covariate,"0.5,1\n' + ROW * 6000,
-                     "field larger than", id="unclosed-quote"),
-        pytest.param(HEAD + ROW + "s" * 140_000 + ",x1,covariate,0.5,1.25\n",
-                     "field larger than", id="long-unquoted-field"),
-        pytest.param(HEAD + ROW + "s0000,x1,covariate,0.5,abc\n" + '"a,b",x1\n',
-                     ":3: non-numeric", id="bad-number-before-quote"),
-        pytest.param(HEAD + ROW + "s0000,x1\n" + ROW + "s0\0\n",
-                     ":3: expected 5 fields, got 2", id="bad-count-before-nul"),
-        pytest.param(HEAD + '"q",x1,covariate,0.5,1\n' + "s0000,x1\n"
-                     + 's0000,x1,covariate,"0.5,1\n' + ROW * 6000,
-                     ":3: expected 5 fields, got 2", id="bad-count-before-unclosed-quote"),
-        pytest.param(HEAD + ROW + "s0000,x1,covariate,nan,1\n" + "s0000,x1\n",
-                     ":4: expected 5 fields", id="bad-count-after-nan"),
-        pytest.param(HEAD, "no data rows", id="header-only"),
-        pytest.param("", "expected header", id="empty"),
-    ])
+    @pytest.mark.parametrize("text, error", DIALECT_CASES)
     def test_dialect_cases(self, tmp_path, text, error):
         path = self._write(tmp_path, text)
         outcome = read_outcome(core._read_columns, path)
@@ -441,7 +485,7 @@ class TestColumnReader:
     def test_chunk_boundaries_leave_output_unchanged(self, tmp_path, monkeypatch):
         rows = [f"s{i:04d},x{i % 3},covariate,{i / 7!r},{i * 1.5!r}\n" for i in range(40)]
         rows[23] = '"subject\n,with ""two"" lines",x1,covariate,0.25,-1.0\n'
-        path = self._write(tmp_path, self.HEAD + "".join(rows).removesuffix("\n"))
+        path = self._write(tmp_path, HEAD + "".join(rows).removesuffix("\n"))
         expected = read_outcome(reference_read_columns, path)
         assert "subject\n,with \"two\" lines" in expected[0][0][0]
         assert len(expected[1]) == 40 * 8  # the last line, without "\n", is read
@@ -451,13 +495,72 @@ class TestColumnReader:
             assert read_outcome(core._read_columns, path) == expected, chunk
 
     def test_bad_line_found_in_any_chunk(self, tmp_path, monkeypatch):
-        rows = [self.ROW] * 30
+        rows = [ROW] * 30
         rows[17] = "s0000,x1,covariate,0.5\n"
-        path = self._write(tmp_path, self.HEAD + "".join(rows))
+        path = self._write(tmp_path, HEAD + "".join(rows))
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(core, "_CHUNK_CHARS", chunk)
             with pytest.raises(MalformedRow, match=":19: expected 5 fields, got 4"):
                 core._read_columns(path)
+
+    @given(text=long_csv_texts(), chunk=st.sampled_from(CHUNK_SIZES))
+    @settings(max_examples=300, deadline=None)
+    def test_split_matches_reference_reader(self, tmp_path_factory, text, chunk):
+        path = self._write(tmp_path_factory.mktemp("split"), text)
+        assert split_read_outcome(path, chunk) == read_outcome(reference_read_columns, path)
+
+    @given(text=long_csv_texts(plain=True), chunk=st.sampled_from(CHUNK_SIZES))
+    @settings(max_examples=300, deadline=None)
+    def test_split_plain_text_matches_reference_reader(self, tmp_path_factory, text, chunk):
+        path = self._write(tmp_path_factory.mktemp("plain"), text)
+        assert split_read_outcome(path, chunk) == read_outcome(reference_read_columns, path)
+
+    @pytest.mark.parametrize("text, error", DIALECT_CASES)
+    def test_split_dialect_cases(self, tmp_path, text, error):
+        path = self._write(tmp_path, text)
+        assert split_read_outcome(path) == read_outcome(reference_read_columns, path)
+
+    @pytest.mark.parametrize("line, fault, error, halves", [
+        pytest.param(None, None, None, "506 + 494", id="clean"),
+        pytest.param(752, b"s0000,x1,covariate,inf,1\n", ":752: non-finite", "506 + 494",
+                     id="non-finite-second-half"),
+        pytest.param(752, b"s0000,x1,covariate,0.5\n", ":752: expected 5 fields, got 4",
+                     None, id="bad-count-second-half"),
+        pytest.param(42, b"s0000,x1,covariate,0.5\n", ":42: expected 5 fields, got 4",
+                     None, id="bad-count-first-half"),
+        pytest.param(752, b"s0000,x1,covariate,0.5,abc\n", ":752: non-numeric", None,
+                     id="non-numeric-second-half"),
+        pytest.param(752, b"s\xff000,x1,covariate,0.5,1.25\n", "unreadable CSV", None,
+                     id="non-utf8-second-half"),
+        pytest.param(752, b'"s,9",x1,covariate,0.5,1.25\n', None, None,
+                     id="quote-second-half"),
+        pytest.param(752, b"s0009,x1,covariate,0.5,1.25\r\n", None, None,
+                     id="cr-second-half"),
+    ])
+    def test_split_faults_are_reported_as_by_the_serial_reader(self, tmp_path, caplog, line,
+                                                               fault, error, halves):
+        rows = [row.encode() for row in many_rows()]
+        if fault is not None:
+            rows[line - 2] = fault
+        path = tmp_path / "data.csv"
+        path.write_bytes(HEAD.encode() + b"".join(rows))
+        with caplog.at_level(logging.DEBUG, logger="fofr"):
+            outcome = split_read_outcome(path)
+        assert outcome == read_outcome(reference_read_columns, path)
+        if error is None:
+            assert len(outcome) == 3, outcome
+        else:
+            assert outcome[0] is MalformedRow and error in outcome[1], outcome
+        if halves is None:
+            assert "in one process: a half needs the serial reader" in caplog.text
+        else:
+            assert f"read {path} in two processes: {halves} rows" in caplog.text
+
+    def test_small_file_is_not_split(self, tmp_path, caplog):
+        path = self._write(tmp_path, HEAD + "".join(many_rows()))
+        with caplog.at_level(logging.DEBUG, logger="fofr"):
+            core._read_columns(path)
+        assert path.stat().st_size < core.SPLIT_BYTES and not caplog.text
 
 
 def reference_write_dataset(dataset, path):
@@ -501,6 +604,27 @@ def _time_blocks(kind):
     if kind == "irregular":
         return [np.sort(rng.uniform(0.0, 1.0, rng.integers(2, 12))) for _ in range(6)]
     raise ValueError(kind)
+
+
+def _subject_blocks(kind):
+    """Per subject, the blocks that ``core._write_subjects`` writes, two
+    channels each; the subjects' rows split evenly between the halves."""
+    rng = np.random.default_rng(len(kind))
+    grid = np.linspace(0.0, 1.0, 7)
+    zero, negative = np.array([0.0, 0.25, 0.5]), np.array([-0.0, 0.25, 0.5])
+    if kind == "quoted ids":
+        ids = ["a,b", 'q"t', " lead", "é", "two\nlines", "cr\rid"]
+        times = [grid] * len(ids)
+    elif kind == "signed zeros":  # each half ends and starts with the other zero
+        ids = ["s0", "s1", "s2", "s3"]
+        times = [zero, negative, zero.copy(), negative.copy()]
+    elif kind == "shared grid":  # the split falls between blocks that reuse strings
+        ids = ["s0", "s1", "s2", "s3"]
+        times = [grid] * len(ids)
+    else:
+        raise ValueError(kind)
+    return [[((sid, name), t, rng.standard_normal(len(t))) for name in ("y1", "y,2")]
+            for sid, t in zip(ids, times)]
 
 
 class TestWriter:
@@ -557,6 +681,44 @@ class TestWriter:
                 for a, b in zip(row, loaded_row):
                     assert a.times.tobytes() == b.times.tobytes()
                     assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["quoted ids", "signed zeros", "shared grid"])
+    def test_split_write_matches_per_block_writer(self, tmp_path, monkeypatch, caplog, kind):
+        subjects = _subject_blocks(kind)
+        rows = [sum(len(times) for _, times, _ in blocks) for blocks in subjects]
+        path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
+        monkeypatch.setattr(core, "SPLIT_ROWS", 0)
+        with caplog.at_level(logging.DEBUG, logger="fofr"):
+            core._write_subjects(path, PREDICTIONS_HEADER,
+                                 lambda lo, hi: chain.from_iterable(subjects[lo:hi]), rows)
+        assert no_child_left()
+        half = sum(rows) // 2
+        assert f"wrote {path} in two processes: {half} + {half} rows" in caplog.text
+        per_block_write_long_csv(reference, PREDICTIONS_HEADER, list(chain(*subjects)))
+        assert path.read_bytes() == reference.read_bytes()
+        if kind == "signed zeros":
+            assert b"s1,y1,-0.0," in path.read_bytes() and b"s2,y1,0.0," in path.read_bytes()
+
+    def test_split_write_dataset_matches_serial(self, tmp_path, monkeypatch):
+        data, _ = small_dataset()
+        data = replace(data, subject_ids=[f"a,b{i}" for i in range(data.n_subjects)])
+        path, serial = tmp_path / "data.csv", tmp_path / "serial.csv"
+        write_dataset(data, serial)
+        monkeypatch.setattr(core, "SPLIT_ROWS", 0)
+        write_dataset(data, path)
+        assert no_child_left()
+        assert path.read_bytes() == serial.read_bytes()
+
+    def test_failed_second_half_raises_as_the_serial_writer(self, tmp_path, monkeypatch):
+        subjects = _subject_blocks("shared grid")
+        (ids, times, values), *rest = subjects[-1]
+        subjects[-1] = [(("s\ud800", ids[1]), times, values), *rest]  # not UTF-8 encodable
+        rows = [sum(len(times) for _, times, _ in blocks) for blocks in subjects]
+        monkeypatch.setattr(core, "SPLIT_ROWS", 0)
+        with pytest.raises(UnicodeEncodeError):
+            core._write_subjects(tmp_path / "data.csv", PREDICTIONS_HEADER,
+                                 lambda lo, hi: chain.from_iterable(subjects[lo:hi]), rows)
+        assert no_child_left()
 
     def test_prediction_only_dataset(self, tmp_path):
         data, _ = small_dataset()
