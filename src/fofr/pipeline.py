@@ -247,9 +247,11 @@ def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label, subj
         z_surface = CovarianceSurface(grid, surface.values / np.outer(sd, sd))
         variance = np.diag(surface.values)
         floor = variance_floor(variance)
+        times = np.concatenate([s.times for s in series_set])
         fit = {"bandwidth_mean": float(resolved.bandwidth_mean),
                "bandwidth_cov": float(resolved.bandwidth_cov),
-               "variance_floor": floor, "n_variance_clipped": int(np.sum(variance < floor))}
+               "variance_floor": floor, "n_variance_clipped": int(np.sum(variance < floor)),
+               "n_observations": len(times), "n_sites": len(np.unique(times))}
         uni_rule = _capped(rule, min(len(subject_ids) - 1, grid.size))
         with _stage(f"fpca/{label}"):
             try:

@@ -1,15 +1,17 @@
 """Local-linear kernel estimation of mean functions and covariance surfaces.
 
-Both smoothers tabulate the kernel once per distinct time (site) and grid
-point and take every moment of their local fits as products of that table
-with per-site or per-subject sums.  The mean smoother fits a line through
-the pooled (time, value) pairs, from per-site counts and value sums.  The
-covariance smoother fits a plane through the pooled off-diagonal raw cross
-products, which removes measurement-error bias from the diagonal.  Its
-kernel factorizes over the two times and every product stays within one
-subject, so each moment is a sum over subjects of products of per-subject
-kernel sums, minus the diagonal (same observation twice) term collected by
-site.  No pair is ever formed: the cost follows subjects, sites and the grid.
+Both smoothers tabulate the kernel on distinct times (sites) and grid points
+a block of ``SITE_BLOCK`` sites at a time, and take every moment of their
+local fits as products of those tables with per-site or per-subject sums.
+The mean smoother fits a line through the pooled (time, value) pairs, from
+per-site counts and value sums.  The covariance smoother fits a plane
+through the pooled off-diagonal raw cross products, which removes
+measurement-error bias from the diagonal.  Its kernel factorizes over the
+two times and every product stays within one subject, so each moment is a
+sum over subjects of products of per-subject kernel sums, minus the
+diagonal (same observation twice) term collected by site.  No pair is ever
+formed: the cost follows subjects, sites and the grid, and the memory one
+(sites, G) kernel table plus ``SITE_BLOCK`` x 3G rows of its moments.
 
 Both fits end in a closed-form intercept, taken by cofactors element-wise on
 the grid, and one rule names a degenerate window: too little weight mass, or
@@ -47,6 +49,13 @@ WEIGHT_FLUSH = 1e-100
 #: product per block, over the block's own distinct sites, so the work
 #: follows observations, not subjects times sites
 SUBJECT_BLOCK = 8
+
+#: sites per block of the kernel tables.  On a 120-subject irregular design
+#: the smoothers took the same time at 64 to 512 sites per block and more
+#: from 1024 on; 256 keeps a block's three (SITE_BLOCK, G) tables at 0.6 MB
+#: for G = 101, and a dense design of up to 256 times in one block, so its
+#: mean keeps the bytes of one full table
+SITE_BLOCK = 256
 
 #: bandwidth cross-validation: subject folds and log-spaced candidates
 N_FOLDS = 5
@@ -131,7 +140,7 @@ def plugin_bandwidth(series_set, grid: EvalGrid) -> float:
     empty windows near coverage gaps and grid-scale underflow.
     """
     length = grid.interval.length
-    gaps = np.concatenate([np.diff(s.times) for s in series_set if len(s) > 1])
+    gaps = np.concatenate([np.diff(s.times) for s in series_set])
     median_gap = float(np.median(gaps)) if len(gaps) else length
     pooled = _pooled_times(series_set)
     edges = np.concatenate([[grid.points[0]], pooled, [grid.points[-1]]])
@@ -158,13 +167,28 @@ def _require_float(bw, name):
     return float(bw)
 
 
-def _kernel_table(kernel: KernelSpec, h: float, sites: np.ndarray, grid: EvalGrid):
-    """(sites, G) tables, d = t - g: W0 = K(d / h), W1 = W0 d, W2 = W1 d."""
-    d = sites[:, None] - grid.points[None, :]
-    w0 = kernel.weights(d / h)
+def _kernel_weights(kernel: KernelSpec, h: float, sites: np.ndarray, grid: EvalGrid):
+    """(sites, G) table W0 = K((t - g) / h), zeroed below WEIGHT_FLUSH."""
+    w0 = kernel.weights((sites[:, None] - grid.points[None, :]) / h)
     w0[w0 < WEIGHT_FLUSH] = 0.0
+    return w0
+
+
+def _moment_tables(w0: np.ndarray, sites: np.ndarray, points: np.ndarray):
+    """W0, W1 = W0 d and W2 = W1 d, d = t - g, from W0's table at ``sites``
+    and grid ``points``."""
+    d = sites[:, None] - points[None, :]
     w1 = w0 * d
     return w0, w1, w1 * d
+
+
+def _kernel_table(kernel: KernelSpec, h: float, sites: np.ndarray, grid: EvalGrid):
+    """(sites, G) tables, d = t - g: W0 = K(d / h), W1 = W0 d, W2 = W1 d."""
+    return _moment_tables(_kernel_weights(kernel, h, sites, grid), sites, grid.points)
+
+
+def _site_blocks(n_sites: int):
+    return [slice(lo, lo + SITE_BLOCK) for lo in range(0, n_sites, SITE_BLOCK)]
 
 
 def _intercept(s00, det, numer, total, grid: EvalGrid, h: float, target: str):
@@ -194,13 +218,17 @@ def smooth_mean(series_set, kernel: KernelSpec, grid: EvalGrid) -> MeanFunction:
         raise DegenerateWindow("mean smoothing needs at least 2 pooled observations")
     h = _require_float(kernel.bandwidth_mean, "bandwidth_mean")
     sites, site_of = np.unique(times, return_inverse=True)
-    w0, w1, w2 = _kernel_table(kernel, h, sites, grid)
 
     # moments of the line on [1, t - g]: per-site counts and value sums
-    # times the kernel tables
+    # times the kernel tables, summed over blocks of sites
     counts = np.bincount(site_of).astype(float)
     sums = np.stack([counts, np.bincount(site_of, weights=values)])
-    (s00, r0), (s01, r1), s11 = sums @ w0, sums @ w1, counts @ w2
+    moments = None
+    for block in _site_blocks(len(sites)):
+        w0, w1, w2 = _kernel_table(kernel, h, sites[block], grid)
+        part = np.vstack([sums[:, block] @ w0, sums[:, block] @ w1, counts[block] @ w2])
+        moments = part if moments is None else moments + part
+    s00, r0, s01, r1, s11 = moments
     det = s00 * s11 - s01 * s01
     # the intercept is the estimate at g
     out = _intercept(s00, det, s11 * r0 - s01 * r1, len(times), grid, h, "mean")
@@ -227,27 +255,35 @@ def _raw_pairs(series_set, mean: MeanFunction):
     return (np.concatenate(t1_parts), np.concatenate(t2_parts), np.concatenate(u_parts))
 
 
-def _subject_sums(lengths, site_of, resid, W, r_cols):
-    """Per-subject sums of ``W``'s rows at each subject's sites: ``C`` weighs
-    every row by 1, ``R`` by the residual and keeps the first ``r_cols``
-    columns.  Subjects are the consecutive runs of ``lengths`` in ``site_of``
-    and ``resid``, each with strictly increasing times, so a subject meets a
-    site at most once."""
+def _subject_sums(lengths, site_of, resid, w0, sites, grid: EvalGrid):
+    """Per-subject sums of the (3G,) rows [W0, W1, W2] at each subject's
+    sites, from ``w0``, the W0 table at ``sites``: ``C`` weighs every row by
+    1, ``R`` by the residual and keeps the first 2G columns.  Subjects are
+    the consecutive runs of ``lengths`` in ``site_of`` and ``resid``, each
+    with strictly increasing times, so a subject meets a site at most once.
+    A block of subjects that meets the same sites as the block before it
+    reuses that block's rows."""
     bounds = np.concatenate([[0], np.cumsum(lengths)])
-    C = np.empty((len(lengths), W.shape[1]))
-    R = np.empty((len(lengths), r_cols))
+    G = grid.size
+    C = np.empty((len(lengths), 3 * G))
+    R = np.empty((len(lengths), 2 * G))
+    local = rows = None
     for lo in range(0, len(lengths), SUBJECT_BLOCK):
         hi = min(lo + SUBJECT_BLOCK, len(lengths))
         b, obs = hi - lo, slice(bounds[lo], bounds[hi])
+        seen = local
         local, col = np.unique(site_of[obs], return_inverse=True)
+        if not np.array_equal(local, seen):
+            rows = np.concatenate(_moment_tables(w0[local], sites[local], grid.points),
+                                  axis=1)
         row = np.repeat(np.arange(b), lengths[lo:hi])
         # count rows on top, residual rows below
         M = np.zeros((2 * b, len(local)))
         M[row, col] = 1.0
         M[b + row, col] = resid[obs]
-        sums = M @ W[local]
+        sums = M @ rows
         C[lo:hi] = sums[:b]
-        R[lo:hi] = sums[b:, :r_cols]
+        R[lo:hi] = sums[b:, :2 * G]
     return C, R
 
 
@@ -265,21 +301,39 @@ def smooth_covariance(series_set, mean: MeanFunction, kernel: KernelSpec,
     sites, site_of = np.unique(times, return_inverse=True)
     G = grid.size
 
-    w0, w1, w2 = _kernel_table(kernel, h, sites, grid)
-    W = np.concatenate([w0, w1, w2], axis=1)
+    # one W0 table, filled a block at a time so that the temporaries of the
+    # tabulation stay block-sized
+    blocks = _site_blocks(len(sites))
+    w0 = np.empty((len(sites), G))
+    for block in blocks:
+        w0[block] = _kernel_weights(kernel, h, sites[block], grid)
 
     # per-subject kernel sums of counts and residuals; their outer products
-    # cover every within-subject pair, the diagonal j = j' included
-    C, R = _subject_sums(lengths, site_of, resid, W, 2 * G)
-    # the diagonal term, collected by site
+    # cover every within-subject pair, the diagonal j = j' included, which
+    # is then taken off by site, a block of sites at a time.  Only the four
+    # moment blocks the plane reads are formed
+    C, R = _subject_sums(lengths, site_of, resid, w0, sites, grid)
     n = np.bincount(site_of, minlength=len(sites)).astype(float)
     rsq = np.bincount(site_of, weights=resid * resid, minlength=len(sites))
-    S = C.T @ C[:, :2 * G] - W.T @ (n[:, None] * W[:, :2 * G])
-    U = R.T @ R[:, :G] - W[:, :2 * G].T @ (rsq[:, None] * w0)
+    C1 = C[:, G:2 * G]
+    S, s12, U = C.T @ C[:, :G], C1.T @ C1, R.T @ R[:, :G]
+    S3, U3 = S.reshape(3, G, G), U.reshape(2, G, G)
+    for block in blocks:
+        # a block's sites lie close together, so its kernel weights vanish
+        # outside one run of grid points; only that run is multiplied
+        on = np.flatnonzero(np.any(w0[block], axis=0))
+        if not len(on):
+            continue
+        g, k = slice(on[0], on[-1] + 1), on[-1] + 1 - on[0]
+        w0b, w1b, w2b = _moment_tables(w0[block, g], sites[block], grid.points[g])
+        W = np.concatenate([w0b, w1b, w2b], axis=1)
+        S3[:, g, g] -= (W.T @ (n[block, None] * w0b)).reshape(3, k, k)
+        s12[g, g] -= w1b.T @ (n[block, None] * w1b)
+        U3[:, g, g] -= (W[:, :2 * k].T @ (rsq[block, None] * w0b)).reshape(2, k, k)
 
     # moments of the plane on [1, t - g_a, t' - g_b]; the pair set is
     # symmetric, so the t' moments are transposes of the t moments
-    s00, s01, s11, s12 = S[:G, :G], S[G:2 * G, :G], S[2 * G:, :G], S[G:2 * G, G:]
+    s00, s01, s11 = S[:G], S[G:2 * G], S[2 * G:]
     r0, r1 = U[:G], U[G:]
 
     # the intercept is the estimate at (g_a, g_b); it takes the cofactors

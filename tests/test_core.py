@@ -371,7 +371,8 @@ def long_csv_texts(draw, plain=False):
     if plain:
         ids = [i for i in IDS if not set(i) & set(SPECIAL)]
         splices = [s for s in SPLICES if not set(s) & set('"\r\0')]
-        strings = partial(st.text, st.characters(blacklist_characters=SPECIAL))
+        strings = partial(st.text, st.characters(blacklist_categories=("Cs",),
+                                                 blacklist_characters=SPECIAL))
     field_id = st.sampled_from(ids) | strings(max_size=3)
     number = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
               | st.sampled_from(["-0.0", "1e-320", " 2 ", "1_0", "1e400"]))

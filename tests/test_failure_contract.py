@@ -264,3 +264,24 @@ def test_model_artifact(base, data):
     else:
         run(base["work"], "predict", "--model", bad, "--data", base["data"],
             "--schema", base["schema"], "--out", "p.csv")
+
+
+def test_channel_without_pairs_exits_3(tmp_path):
+    # every subject has one x1 and one y1 observation, spread over the whole
+    # domain: the data load, but no covariance surface can be smoothed
+    rows = ["subject_id,variable_id,role,time,value"]
+    for i in range(30):
+        rows += [f"s{i:02d},x1,covariate,{i / 29!r},{i % 7 / 7!r}",
+                 f"s{i:02d},y1,response,{i / 29!r},{i % 5 / 5!r}"]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "schema.json").write_text(json.dumps(
+        {"covariates": ["x1"], "responses": ["y1"], "covariate_domain": [0, 1],
+         "response_domain": [0, 1], "grid_size": 11}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in ("train", "--data", tmp_path / "data.csv", "--schema",
+                                      tmp_path / "schema.json", "--model-out",
+                                      tmp_path / "m.json", "--baseline", "fflm")])
+    assert code == 3
+    assert err.getvalue() == ("error: smoothing/covariate/channel=x1: NoPairs: "
+                              "no subject has at least 2 observations\n")

@@ -75,11 +75,25 @@ class TestTrain:
                    for ch in cov["channels"])
         assert cov["multivariate_fve"][-1] == pytest.approx(1.0)
 
+    def test_diagnostics_work_counts(self):
+        # irregular times: the pooled observations of a channel fall on
+        # nearly as many distinct sites
+        sc = replace(preset_scenario("linear"), n_subjects=30, sampling=("irregular", 12, 5))
+        data, _ = generate(sc)
+        _, diag = train_pipeline(data, PipelineConfig(regressor="fflm"))
+        for side, channels in (("covariate", [data.covariate_channel(r) for r in range(2)]),
+                               ("response", [data.response_channel(d) for d in range(2)])):
+            for entry, series in zip(diag[side]["channels"], channels):
+                times = np.concatenate([s.times for s in series])
+                assert entry["n_observations"] == len(times) == sum(len(s) for s in series)
+                assert entry["n_sites"] == len(set(times.tolist()))
+                assert 5 * len(series) <= entry["n_sites"] <= entry["n_observations"]
+
     def test_report_is_the_spectrum_of_the_diagnostics(self, fflm_model):
         model, diag = fflm_model
         report = pipeline.fpca_report(model)
         fit_keys = {"bandwidth_mean", "bandwidth_cov", "variance_floor",
-                    "n_variance_clipped", "warning"}
+                    "n_variance_clipped", "n_observations", "n_sites", "warning"}
         for side in ("covariate", "response"):
             spectrum = {**diag[side], "channels": [
                 {k: v for k, v in ch.items() if k not in fit_keys}

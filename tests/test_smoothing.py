@@ -1,5 +1,6 @@
 """Kernel smoother tests against direct weighted-least-squares oracles."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from fofr import synthgen
+from fofr import smoothing, synthgen
 from fofr.core import Interval, ObservationSeries, make_grid
 from fofr.errors import AllCandidatesDegenerate, DegenerateWindow, NoPairs, NonFiniteFit
 from fofr.smoothing import (
     MASS_FLOOR,
+    SITE_BLOCK,
     SUBJECT_BLOCK,
     WEIGHT_FLUSH,
     CovarianceSurface,
@@ -20,8 +22,11 @@ from fofr.smoothing import (
     MeanFunction,
     StandardizationParams,
     _cv_errors,
+    _intercept,
     _interp2,
     _kernel_table,
+    _kernel_weights,
+    _moment_tables,
     _raw_pairs,
     _subject_sums,
     bandwidth_candidates,
@@ -475,10 +480,11 @@ def subject_sum_design(name):
 
 class TestSubjectSums:
     """The per-subject kernel sums of ``smooth_covariance``, one dense product
-    per block of subjects, against the sparse products they replaced."""
+    per block of subjects, against the sparse products they replaced and the
+    sums over one full kernel table that they replace."""
 
     @pytest.mark.parametrize("name", SUBJECT_SUM_DESIGNS)
-    def test_blocks_match_sparse_products(self, name):
+    def test_blocks_match_sparse_products(self, name, monkeypatch):
         series, grid = subject_sum_design(name)
         kernel = resolve_bandwidths(series, KernelSpec(), grid)
         mean = smooth_mean(series, kernel, grid)
@@ -487,6 +493,7 @@ class TestSubjectSums:
         times = np.concatenate([s.times for s in paired])
         resid = np.concatenate([s.values for s in paired]) - mean.at(times)
         sites, site_of = np.unique(times, return_inverse=True)
+        w0 = _kernel_weights(kernel, kernel.bandwidth_cov, sites, grid)
         W = np.concatenate(_kernel_table(kernel, kernel.bandwidth_cov, sites, grid), axis=1)
         if name == "singletons":
             assert 0 < len(paired) < len(series) - 5
@@ -497,11 +504,20 @@ class TestSubjectSums:
         if name == "irregular":
             block = site_of[:np.sum(lengths[:SUBJECT_BLOCK])]
             assert len(np.unique(block)) > 2 * SUBJECT_BLOCK
-        C, R = _subject_sums(lengths, site_of, resid, W, 2 * grid.size)
+        tables = []
+        monkeypatch.setattr(smoothing, "_moment_tables",
+                            lambda *a: tables.append(a) or _moment_tables(*a))
+        C, R = _subject_sums(lengths, site_of, resid, w0, sites, grid)
         C_ref, R_ref = csr_subject_sums(lengths, site_of, resid, W, 2 * grid.size)
         assert C.shape == C_ref.shape and R.shape == R_ref.shape
         for got, ref in ((C, C_ref), (R, R_ref)):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+        # the rows at each block's sites are the full table's rows, bit for bit
+        C_one, R_one = one_table_subject_sums(lengths, site_of, resid, W, 2 * grid.size)
+        assert C.tobytes() == C_one.tobytes() and R.tobytes() == R_one.tobytes()
+        # a dense design meets the same sites in every block and forms its rows once
+        n_blocks = -(-len(paired) // SUBJECT_BLOCK)
+        assert len(tables) == (1 if name == "dense" else n_blocks)
 
     def test_surface_with_singletons_matches_lu_reference(self):
         # subjects with one observation hold no pair and are left out
@@ -511,6 +527,158 @@ class TestSubjectSums:
         ref = lu_covariance_reference(series, mean, kernel, grid)
         fit = smooth_covariance(series, mean, kernel, grid)
         np.testing.assert_allclose(fit.values, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def one_table_subject_sums(lengths, site_of, resid, W, r_cols):
+    """The blocked subject sums over rows of one full (sites, 3G) table
+    ``W``, before they formed each block's rows from W0 alone."""
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    C = np.empty((len(lengths), W.shape[1]))
+    R = np.empty((len(lengths), r_cols))
+    for lo in range(0, len(lengths), SUBJECT_BLOCK):
+        hi = min(lo + SUBJECT_BLOCK, len(lengths))
+        b, obs = hi - lo, slice(bounds[lo], bounds[hi])
+        local, col = np.unique(site_of[obs], return_inverse=True)
+        row = np.repeat(np.arange(b), lengths[lo:hi])
+        M = np.zeros((2 * b, len(local)))
+        M[row, col] = 1.0
+        M[b + row, col] = resid[obs]
+        sums = M @ W[local]
+        C[lo:hi] = sums[:b]
+        R[lo:hi] = sums[b:, :r_cols]
+    return C, R
+
+
+def one_table_mean(series_set, kernel, grid):
+    """The mean smoother over one kernel table of every site."""
+    times = np.concatenate([s.times for s in series_set])
+    values = np.concatenate([s.values for s in series_set])
+    h = kernel.bandwidth_mean
+    sites, site_of = np.unique(times, return_inverse=True)
+    w0, w1, w2 = _kernel_table(kernel, h, sites, grid)
+    counts = np.bincount(site_of).astype(float)
+    sums = np.stack([counts, np.bincount(site_of, weights=values)])
+    (s00, r0), (s01, r1), s11 = sums @ w0, sums @ w1, counts @ w2
+    det = s00 * s11 - s01 * s01
+    return _intercept(s00, det, s11 * r0 - s01 * r1, len(times), grid, h, "mean")
+
+
+def one_table_covariance(series_set, mean, kernel, grid):
+    """The covariance smoother over one (sites, 3G) kernel table of every
+    site, with its six moment blocks and full-size diagonal products."""
+    h = kernel.bandwidth_cov
+    paired = [s for s in series_set if len(s) > 1]
+    lengths = np.array([len(s) for s in paired])
+    times = np.concatenate([s.times for s in paired])
+    resid = np.concatenate([s.values for s in paired]) - mean.at(times)
+    total = float(np.sum(lengths * (lengths - 1)))
+    sites, site_of = np.unique(times, return_inverse=True)
+    G = grid.size
+    w0, w1, w2 = _kernel_table(kernel, h, sites, grid)
+    W = np.concatenate([w0, w1, w2], axis=1)
+    C, R = one_table_subject_sums(lengths, site_of, resid, W, 2 * G)
+    n = np.bincount(site_of, minlength=len(sites)).astype(float)
+    rsq = np.bincount(site_of, weights=resid * resid, minlength=len(sites))
+    S = C.T @ C[:, :2 * G] - W.T @ (n[:, None] * W[:, :2 * G])
+    U = R.T @ R[:, :G] - W[:, :2 * G].T @ (rsq[:, None] * w0)
+    s00, s01, s11, s12 = S[:G, :G], S[G:2 * G, :G], S[2 * G:, :G], S[G:2 * G, G:]
+    r0, r1 = U[:G], U[G:]
+    k0 = s11 * s11.T - s12 * s12
+    k1 = s01.T * s12 - s01 * s11.T
+    k2 = s01 * s12 - s01.T * s11
+    det = s00 * k0 + s01 * k1 + s01.T * k2
+    values = _intercept(s00, det, r0 * k0 + r1 * k1 + r1.T * k2, total, grid, h, "covariance")
+    return 0.5 * (values + values.T)
+
+
+def site_count_design(n_sites, singletons, seed=5):
+    """Subjects whose pooled times are exactly ``n_sites`` distinct sites,
+    each site held by a subject with at least two observations; with
+    ``singletons``, one-observation subjects at existing sites are mixed in."""
+    rng = np.random.default_rng(seed)
+    sites = np.sort(rng.uniform(0.0, 1.0, n_sites))
+    sites[0], sites[-1] = 0.0, 1.0
+    cuts, lo = [], 0
+    while lo < n_sites:
+        hi = min(lo + int(rng.integers(2, 13)), n_sites)
+        cuts.append((lo, hi) if n_sites - hi != 1 else (lo, n_sites))
+        lo = cuts[-1][1]
+    order = rng.permutation(n_sites)
+    series = [ObservationSeries(np.sort(sites[order[a:b]]), rng.standard_normal(b - a))
+              for a, b in cuts]
+    if singletons:
+        series += [ObservationSeries([sites[i]], [rng.standard_normal()])
+                   for i in rng.integers(0, n_sites, len(series) // 3)]
+        series = [series[i] for i in rng.permutation(len(series))]
+    return series
+
+
+SITE_COUNTS = (SITE_BLOCK - 1, SITE_BLOCK, SITE_BLOCK + 1, 3 * SITE_BLOCK + 5)
+
+
+class TestSiteBlocks:
+    """Both smoothers tabulate the kernel a block of sites at a time; they
+    agree with the one-table smoothers they replace within 1e-13 relative,
+    and the mean smoother bit for bit while the sites fit in one block."""
+
+    @pytest.mark.parametrize("singletons", [False, True])
+    @pytest.mark.parametrize("family, h", [("gaussian", 0.05), ("epanechnikov", 0.15)])
+    @pytest.mark.parametrize("n_sites", SITE_COUNTS)
+    def test_match_one_table(self, n_sites, family, h, singletons):
+        series = site_count_design(n_sites, singletons)
+        times = np.concatenate([s.times for s in series])
+        paired = np.concatenate([s.times for s in series if len(s) > 1])
+        assert len(np.unique(times)) == len(np.unique(paired)) == n_sites
+        assert any(len(s) == 1 for s in series) == singletons
+        grid = make_grid(Interval(0, 1), 31)
+        kernel = KernelSpec(family, bandwidth_mean=h, bandwidth_cov=h)
+
+        mean = smooth_mean(series, kernel, grid)
+        ref = one_table_mean(series, kernel, grid)
+        np.testing.assert_allclose(mean.values, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        if n_sites <= SITE_BLOCK:
+            assert mean.values.tobytes() == ref.tobytes()
+
+        fit = smooth_covariance(series, mean, kernel, grid)
+        ref = one_table_covariance(series, mean, kernel, grid)
+        np.testing.assert_allclose(fit.values, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("site_block", [1, 7])
+    @pytest.mark.parametrize("family, h", [("gaussian", 0.02), ("epanechnikov", 0.04)])
+    def test_narrow_windows_match_one_table(self, site_block, family, h, monkeypatch):
+        # many small blocks whose weights vanish on part of the grid, a few
+        # of them on all of it (sites more than h from every grid point)
+        monkeypatch.setattr(smoothing, "SITE_BLOCK", site_block)
+        series = random_series_set(np.random.default_rng(17), n_subjects=200, m_lo=8, m_hi=16)
+        grid = make_grid(Interval(0, 1), 11)
+        kernel = KernelSpec(family, bandwidth_mean=h, bandwidth_cov=h)
+        sites = np.unique(np.concatenate([s.times for s in series]))
+        w0 = _kernel_weights(kernel, h, sites, grid)
+        vanish = [not np.any(w0[lo:lo + site_block])
+                  for lo in range(0, len(sites), site_block)]
+        assert any(vanish) == (family == "epanechnikov")
+        assert not np.all(w0 > 0)
+
+        mean = smooth_mean(series, kernel, grid)
+        ref = one_table_mean(series, kernel, grid)
+        np.testing.assert_allclose(mean.values, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        fit = smooth_covariance(series, mean, kernel, grid)
+        ref = one_table_covariance(series, mean, kernel, grid)
+        np.testing.assert_allclose(fit.values, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_covariance_memory_follows_one_table(self):
+        # 1000 subjects at about 20 irregular times each: some 20,000 sites,
+        # whose W0 table alone takes 16 MB at G = 101
+        series, grid = synth_channel(1000, ("irregular", 20, 5))
+        kernel = resolve_bandwidths(series, KernelSpec(), grid)
+        mean = smooth_mean(series, kernel, grid)
+        tracemalloc.start()
+        try:
+            smooth_covariance(series, mean, kernel, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
 
 
 class TestStandardization:
@@ -550,6 +718,11 @@ class TestBandwidths:
         grid = make_grid(Interval(0, 1), 21)
         h = plugin_bandwidth(series, grid)
         assert 0 < h < 1.0
+
+    def test_plugin_without_pairs_falls_back_to_the_interval(self):
+        series = [ObservationSeries([t], [1.0]) for t in np.linspace(0.0, 1.0, 12)]
+        grid = make_grid(Interval(0, 2), 21)
+        assert plugin_bandwidth(series, grid) == 1.0
 
     def test_resolve_passthrough(self):
         rng = np.random.default_rng(29)
