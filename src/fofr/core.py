@@ -412,14 +412,17 @@ def _forked(work):
 def _chunks(fh, ncol, fast_only=False):
     """Yield the data rows of ``fh`` in chunks as ``(rows, columns)``.
 
-    ``columns`` holds the chunk's ``ncol`` fields column by column, or is None
-    when a row has the wrong field count; ``rows`` iterates the chunk's rows as
-    ``csv.reader`` parses them, for naming a bad line.  A chunk of lines free
-    of quotes, carriage returns and NULs (which the csv module rejects before
-    Python 3.11), and shorter than its field limit, parses as ``str.split``
-    does; from the first chunk that is not, ``csv.reader`` parses the rest of
-    the file, so a quoted field may span lines and chunks.  With ``fast_only``
-    such a chunk raises ``_Serial`` instead.
+    ``columns`` is ``(keys, times, values)``, the chunk's rows split into
+    their id fields, time and value, or None when a row has too few fields;
+    ``rows`` iterates the chunk's rows as ``csv.reader`` parses them, for
+    naming a bad line.  A chunk of lines free of quotes, carriage returns and
+    NULs (which the csv module rejects before Python 3.11), and shorter than
+    its field limit, is split at each line's last two commas, and its keys
+    are the id prefixes ``subject,variable[,role]`` as strings: a row with
+    too many fields has a key with too many commas.  From the first chunk
+    that is not, ``csv.reader`` parses the rest of the file, so a quoted
+    field may span lines and chunks, and its keys are tuples of the id
+    fields.  With ``fast_only`` such a chunk raises ``_Serial`` instead.
     """
     while lines := fh.readlines(_CHUNK_CHARS):
         text = "".join(lines)
@@ -428,16 +431,20 @@ def _chunks(fh, ncol, fast_only=False):
             if fast_only:
                 raise _Serial
             break
-        n = len(lines)
-        if list(map(str.count, lines, repeat(","))).count(ncol - 1) != n:
+        try:  # float() ignores the line end left on each value
+            keys, times, values = zip(*map(str.rsplit, lines, repeat(","), repeat(2)))
+        except ValueError:  # a line with fewer than three fields
             yield csv.reader(lines), None
             continue
-        fields = text.replace("\n", ",").split(",")
-        yield csv.reader(lines), [fields[k:n * ncol:ncol] for k in range(ncol)]
+        yield csv.reader(lines), (keys, times, values)
     else:
         return
     for rows in _batches(csv.reader(chain(lines, fh)), len(lines)):
-        yield rows, None if any(len(row) != ncol for row in rows) else list(zip(*rows))
+        if any(len(row) != ncol for row in rows):
+            yield rows, None
+        else:
+            *ids, times, values = zip(*rows)
+            yield rows, (list(zip(*ids)), times, values)
 
 
 def _batches(items, size):
@@ -472,36 +479,37 @@ def _check_rows(path, rows, ncol, lineno):
 
 
 def _convert(fh, ncol, path, fast_only=False):
-    """The data rows of ``fh`` as ``(seen, codes, times, values)``: per id
-    column a {name: code} dict in order of first appearance and an array of
-    the codes, then arrays of the times and of the values.
+    """The data rows of ``fh`` as ``(seen, codes, times, values)``: a {key:
+    code} dict of the rows' keys (see ``_chunks``) in order of first
+    appearance, then arrays of the rows' key codes, times and values.
 
-    The rows are converted a chunk at a time (see ``_chunks``); the first bad
-    line is searched for only in a chunk that fails to convert, and raises
-    MalformedRow naming its line of ``path``, the first row being line 2.
-    With ``fast_only``, a bad row raises ``_Serial`` instead, as does a chunk
-    that needs ``csv.reader``.
+    The rows are converted a chunk at a time; a key is checked for its field
+    count only when it first appears.  The first bad line is searched for
+    only in a chunk that fails to convert, and raises MalformedRow naming its
+    line of ``path``, the first row being line 2.  With ``fast_only``, a bad
+    row raises ``_Serial`` instead, as does a chunk that needs ``csv.reader``.
     """
-    seen = [{} for _ in range(ncol - 2)]
-    codes = [array("i") for _ in range(ncol - 2)]
-    times, values = array("d"), array("d")
+    seen = {}
+    codes, times, values = array("i"), array("d"), array("d")
     for rows, columns in _chunks(fh, ncol, fast_only):
         try:
-            if columns is None:  # a row has the wrong field count
+            if columns is None:  # a row has too few fields
                 raise ValueError
-            n = len(columns[0])
-            t, v = (np.fromiter(map(float, col), float, n) for col in columns[-2:])
+            keys, t, v = columns
+            n = len(keys)
+            t, v = np.fromiter(map(float, t), float, n), np.fromiter(map(float, v), float, n)
+            new = [key for key in dict.fromkeys(keys) if key not in seen]
+            if any(isinstance(key, str) and key.count(",") != ncol - 3 for key in new):
+                raise ValueError
         except ValueError:
             if fast_only:
                 raise _Serial from None
             _check_rows(path, rows, ncol, len(times) + 2)
             raise
+        seen.update(zip(new, range(len(seen), len(seen) + len(new))))
+        codes.frombytes(np.fromiter(map(seen.__getitem__, keys), np.intc, n).tobytes())
         times.frombytes(t.tobytes())
         values.frombytes(v.tobytes())
-        for first, column, names in zip(seen, codes, columns):
-            for name in dict.fromkeys(names):
-                first.setdefault(name, len(first))
-            column.frombytes(np.fromiter(map(first.__getitem__, names), np.intc, n).tobytes())
     return seen, codes, times, values
 
 
@@ -528,11 +536,13 @@ def _read_in_two(path, fd, ncol):
 
     A file of at least ``SPLIT_BYTES`` bytes is cut at the first line end
     past the middle of its data rows.  This process converts the first half
-    while a forked child converts the second and sends it back pickled; the
-    second half's ids are then coded after the first's.  When the header line
-    holds a quote or carriage return, or either half meets a chunk that needs
-    ``csv.reader``, a bad row or bytes that are not UTF-8, None is returned,
-    so that the serial reader reports every fault as it would on its own.
+    while a forked child converts the second.  The child sends its keys and
+    row count pickled, then the raw bytes of its three columns, which are
+    read straight into the tail of the merged columns; the second half's keys
+    are then coded after the first's.  When the header line holds a quote or
+    carriage return, or either half meets a chunk that needs ``csv.reader``,
+    a bad row or bytes that are not UTF-8, None is returned, so that the
+    serial reader reports every fault as it would on its own.
     """
     size = os.fstat(fd).st_size
     if not _two_processes(size, SPLIT_BYTES):
@@ -552,21 +562,31 @@ def _read_in_two(path, fd, ncol):
             except UnicodeDecodeError as exc:
                 raise _Serial from exc
 
+    def send(out):
+        seen, *columns = half(split, size)
+        pickle.dump((list(seen), len(columns[0])), out)
+        for column in columns:
+            out.write(column)
+
     try:
-        with _forked(lambda out: pickle.dump(half(split, size), out)) as pipe:
-            first = half(start, split)
-            second = pickle.load(pipe)
+        with _forked(send) as pipe:
+            seen, *own = half(start, split)
+            keys, more = pickle.load(pipe)
+            rows = len(own[0])
+            merged = []
+            for dtype in (np.intc, float, float):
+                column = np.empty(rows + more, dtype)
+                column[:rows] = np.frombuffer(own.pop(0), dtype)
+                if pipe.readinto(column[rows:]) != column[rows:].nbytes:
+                    raise EOFError
+                merged.append(column)
     except (_Serial, EOFError, pickle.UnpicklingError):
         logger.debug("read %s in one process: a half needs the serial reader", path)
         return None
-    logger.debug("read %s in two processes: %d + %d rows", path, len(first[2]), len(second[2]))
-    seen, codes, times, values = first
-    for names, column, more, more_codes in zip(seen, codes, *second[:2]):
-        recode = np.array([names.setdefault(name, len(names)) for name in more], np.intc)
-        column.frombytes(recode[np.frombuffer(more_codes, np.intc)].tobytes())
-    times.extend(second[2])
-    values.extend(second[3])
-    return first
+    logger.debug("read %s in two processes: %d + %d rows", path, rows, more)
+    recode = np.array([seen.setdefault(key, len(seen)) for key in keys], np.intc)
+    merged[0][rows:] = recode[merged[0][rows:]]
+    return seen, *merged
 
 
 def _read_columns(path, headers=(CSV_HEADER,)):
@@ -594,34 +614,53 @@ def _read_columns(path, headers=(CSV_HEADER,)):
     except (csv.Error, UnicodeDecodeError) as exc:  # bad quoting or encoding
         raise MalformedRow(f"{path}: unreadable CSV ({exc})") from exc
 
-    if not times:
+    if not len(times):
         raise MalformedRow(f"{path}: no data rows")
     times, values = np.frombuffer(times), np.frombuffer(values)
     bad = ~(np.isfinite(times) & np.isfinite(values))
     if bad.any():
         raise MalformedRow(f"{path}:{np.argmax(bad) + 2}: non-finite time/value")
-    ids = [(list(first), np.frombuffer(column, dtype=np.int32))
-           for first, column in zip(seen, codes)]
+    # each distinct key is decoded once: keys come in order of first
+    # appearance, so each id column's names come out in that order too
+    codes = np.frombuffer(codes, np.intc)
+    fields = [key.split(",") if isinstance(key, str) else key for key in seen]
+    ids = []
+    for column in zip(*fields):
+        names = {}
+        table = np.array([names.setdefault(name, len(names)) for name in column], np.intc)
+        ids.append((list(names), table[codes]))
     return ids, times, values
 
 
 def _group(ids, times, values):
-    """Sort the rows of ``_read_columns`` stably by (subject, variable, time).
+    """Group the rows of ``_read_columns`` by (subject, variable), stably
+    sorted by time.
 
     Returns a mask of the rows that repeat an earlier row's (subject,
-    variable, time), and {(subject, variable): (times, values)}.
+    variable, time), and {(subject, variable): (times, values)}, each a
+    read-only slice of one pooled column.  Rows already in (subject,
+    variable, time) order of their codes, as fofr writes every file, are
+    taken as they are; others are sorted with ``np.lexsort``.
     """
     (subjects, subject), (variables, variable) = ids[:2]
-    order = np.lexsort((times, variable, subject))
-    subject, variable, sorted_times = subject[order], variable[order], times[order]
+    step_s, step_v, step_t = np.diff(subject), np.diff(variable), np.diff(times)
+    step_back = (step_s < 0) | (step_s == 0) & ((step_v < 0) | (step_v == 0) & (step_t < 0))
+    later = np.s_[1:]  # where the grouped rows after the first sit in the file
+    if step_back.any():
+        order = np.lexsort((times, variable, subject))
+        subject, variable, times, values = (column[order]
+                                            for column in (subject, variable, times, values))
+        later = order[1:]
     same = (subject[1:] == subject[:-1]) & (variable[1:] == variable[:-1])
-    repeat = np.zeros(len(order), dtype=bool)
-    repeat[order[1:]] = same & (sorted_times[1:] == sorted_times[:-1])
-    starts = np.concatenate(([0], np.flatnonzero(~same) + 1)).tolist()
-    # fancy indexing copies: a view would keep the whole file's columns alive
-    groups = {(subjects[subject[a]], variables[variable[a]]):
-              (times[order[a:b]], values[order[a:b]])
-              for a, b in zip(starts, starts[1:] + [len(order)])}
+    repeat = np.zeros(len(times), dtype=bool)
+    repeat[later] = same & (times[1:] == times[:-1])
+    starts = np.concatenate(([0], np.flatnonzero(~same) + 1))
+    bounds = starts.tolist() + [len(times)]
+    times, values = times.view(), values.view()
+    times.flags.writeable = values.flags.writeable = False
+    groups = {(subjects[s], variables[v]): (times[a:b], values[a:b])
+              for s, v, a, b in zip(subject[starts].tolist(), variable[starts].tolist(),
+                                    bounds, bounds[1:])}
     return repeat, groups
 
 

@@ -87,7 +87,7 @@ class TestMakeGrid:
     @given(st.integers(min_value=2, max_value=400),
            st.floats(min_value=-50, max_value=50),
            st.floats(min_value=0.01, max_value=100))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, derandomize=True, deadline=None)
     def test_weights_sum_to_length(self, g, lo, width):
         grid = make_grid(Interval(lo, lo + width), g)
         assert np.isclose(np.sum(grid.quad_weights), width, rtol=1e-12)
@@ -284,7 +284,7 @@ class TestCsvRejection:
             load_dataset(bad, schema)
 
     @given(st.integers(min_value=1, max_value=200))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, derandomize=True, deadline=None)
     def test_truncated_row_always_rejected(self, tmp_path_factory, cut):
         data, schema = small_dataset()
         tmp = tmp_path_factory.mktemp("fuzz")
@@ -297,6 +297,90 @@ class TestCsvRejection:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises((MalformedRow, DuplicateTimestamp, DomainViolation)):
             load_dataset(bad, schema)
+
+
+class TestGrouping:
+    """``load_dataset`` takes rows already in (subject, variable, time) order,
+    as ``write_dataset`` writes them, without sorting, and sorts any others:
+    both give the same dataset and the same errors."""
+
+    @pytest.fixture
+    def lines(self, tmp_path):
+        data, schema = small_dataset()
+        path = tmp_path / "data.csv"
+        write_dataset(data, path)
+        return path.read_text().splitlines(), schema
+
+    @staticmethod
+    def _load(path, schema):
+        """The dataset at ``path``, or the error it raises, and whether
+        loading it sorted any rows."""
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            try:
+                outcome = load_dataset(path, schema)
+            except FofrError as exc:
+                outcome = type(exc), str(exc)
+        return outcome, lexsort.called
+
+    @staticmethod
+    def _in_order_and_shuffled(tmp_path, lines, keep):
+        """``lines`` written as they are, and a copy whose data rows after
+        the first ``keep`` are shuffled."""
+        rows = lines[1 + keep:]
+        shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+        paths = tmp_path / "in_order.csv", tmp_path / "shuffled.csv"
+        for path, text in zip(paths, (lines, lines[:1 + keep] + shuffled)):
+            path.write_text("\n".join(text) + "\n")
+        return paths
+
+    @staticmethod
+    def _series(data):
+        return [(s.times.tobytes(), s.values.tobytes())
+                for side in (data.covariates, data.responses) for row in side for s in row]
+
+    def test_shuffled_copy_loads_the_same_dataset(self, tmp_path, lines):
+        lines, schema = lines
+        paths = self._in_order_and_shuffled(tmp_path, lines, 0)
+        (a, sorted_a), (b, sorted_b) = (self._load(path, schema) for path in paths)
+        assert (sorted_a, sorted_b) == (False, True)
+        assert a.subject_ids == b.subject_ids
+        assert self._series(a) == self._series(b)
+
+    def test_shuffled_copy_repeats_a_duplicate_timestamp(self, tmp_path, lines):
+        lines, schema = lines
+        j = next(i for i, line in enumerate(lines) if line.startswith("s0001,x1,"))
+        lines = lines[:j + 1] + lines[j:]  # a row repeated right after itself stays in order
+        paths = self._in_order_and_shuffled(tmp_path, lines, j + 1)
+        (a, sorted_a), (b, sorted_b) = (self._load(path, schema) for path in paths)
+        assert (sorted_a, sorted_b) == (False, True)
+        assert a[0] is DuplicateTimestamp and a[1].startswith(f"{tmp_path / 'in_order.csv'}:")
+        assert f":{j + 2}: subject 's0001' variable 'x1': duplicate time" in a[1]
+        assert b[1] == a[1].replace("in_order.csv", "shuffled.csv")
+
+    def test_shuffled_copy_lacks_the_same_channel(self, tmp_path, lines):
+        lines, schema = lines
+        lines = [line for line in lines if not line.startswith("s0001,x2,")]
+        j = next(i for i, line in enumerate(lines) if line.startswith("s0001,"))
+        paths = self._in_order_and_shuffled(tmp_path, lines, j)
+        (a, sorted_a), (b, sorted_b) = (self._load(path, schema) for path in paths)
+        assert (sorted_a, sorted_b) == (False, True)
+        assert a[0] is MissingChannel
+        assert f":{j + 1}: subject 's0001' lacks declared variable 'x2'" in a[1]
+        assert b[1] == a[1].replace("in_order.csv", "shuffled.csv")
+
+    def test_loaded_series_are_read_only(self, tmp_path, lines):
+        lines, schema = lines
+        for path in self._in_order_and_shuffled(tmp_path, lines, 0):
+            data = load_dataset(path, schema)
+            first, second = data.covariates[0][0], data.covariates[0][1]
+            before = second.times.copy(), second.values.copy()
+            for column in ("times", "values"):
+                with pytest.raises(ValueError):
+                    getattr(first, column)[0] = 0.5
+                with pytest.raises(ValueError):
+                    getattr(first, column)[:] += 0.0
+            np.testing.assert_array_equal(second.times, before[0])
+            np.testing.assert_array_equal(second.values, before[1])
 
 
 def reference_read_columns(path, headers=(CSV_HEADER,)):
@@ -421,6 +505,17 @@ DIALECT_CASES = [
                  ":3: expected 5 fields, got 2", id="bad-count-before-unclosed-quote"),
     pytest.param(HEAD + ROW + "s0000,x1,covariate,nan,1\n" + "s0000,x1\n",
                  ":4: expected 5 fields", id="bad-count-after-nan"),
+    pytest.param(HEAD + ROW + "s0000,x1,covariate,0.5,1.0,2.0\n",
+                 ":3: expected 5 fields, got 6", id="one-field-too-many"),
+    pytest.param(",".join(PREDICTIONS_HEADER) + "\n" + "s0000,y1,0.5,1.25\n"
+                 + "s0000,y1,response,0.5,1.25\n", ":3: expected 4 fields, got 5",
+                 id="predictions-row-with-role"),
+    pytest.param(HEAD + ROW * 5 + "s0001,0.5,1.25\n" + ROW * 5,
+                 ":7: expected 5 fields, got 3", id="too-few-fields-mid-chunk"),
+    pytest.param(HEAD + ROW * 5 + "s0001,x1\n" + ROW * 5,
+                 ":7: expected 5 fields, got 2", id="two-fields-mid-chunk"),
+    pytest.param(HEAD + ROW + " s0000,x1 ,covariate,0.5,1.25\n" + " s0000 ,x1,covariate,0.5,1\n",
+                 None, id="ids-with-spaces"),
     pytest.param(HEAD, "no data rows", id="header-only"),
     pytest.param("", "expected header", id="empty"),
 ]
@@ -466,7 +561,7 @@ class TestColumnReader:
         return path
 
     @given(text=long_csv_texts(), chunk=st.sampled_from(CHUNK_SIZES))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, derandomize=True, deadline=None)
     def test_matches_reference_reader(self, tmp_path_factory, text, chunk):
         path = self._write(tmp_path_factory.mktemp("diff"), text)
         with mock.patch.object(core, "_CHUNK_CHARS", chunk):
@@ -505,13 +600,13 @@ class TestColumnReader:
                 core._read_columns(path)
 
     @given(text=long_csv_texts(), chunk=st.sampled_from(CHUNK_SIZES))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, derandomize=True, deadline=None)
     def test_split_matches_reference_reader(self, tmp_path_factory, text, chunk):
         path = self._write(tmp_path_factory.mktemp("split"), text)
         assert split_read_outcome(path, chunk) == read_outcome(reference_read_columns, path)
 
     @given(text=long_csv_texts(plain=True), chunk=st.sampled_from(CHUNK_SIZES))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, derandomize=True, deadline=None)
     def test_split_plain_text_matches_reference_reader(self, tmp_path_factory, text, chunk):
         path = self._write(tmp_path_factory.mktemp("plain"), text)
         assert split_read_outcome(path, chunk) == read_outcome(reference_read_columns, path)
