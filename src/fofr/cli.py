@@ -20,7 +20,7 @@ from fofr.core import (
     _config_from_json,
     _read_json,
     _read_series,
-    _write_subjects,
+    _write_long_csv,
     load_dataset,
     load_schema,
     write_dataset,
@@ -98,6 +98,15 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _check_distinct(message, paths, inputs=()):
+    """Raise BadConfig(``message``) unless the non-empty ``paths`` name
+    distinct files, none of them one of ``inputs``; paths are compared after
+    resolving ``.``, ``..`` and symbolic links."""
+    paths = [os.path.realpath(p) for p in paths if p]
+    if len(set(paths)) != len(paths) or set(paths) & {os.path.realpath(p) for p in inputs}:
+        raise BadConfig(message)
+
+
 def cmd_train(args) -> int:
     cfg = (_config_from_json(RunConfig, _read_json(args.config, BadConfig), "config")
            if args.config else RunConfig())
@@ -107,10 +116,8 @@ def cmd_train(args) -> int:
     if not data_path or not schema_path or not model_out:
         raise BadConfig("train needs data, schema and model_out (via --config or flags)")
     ids_out, data_out = cfg.split.test_ids_out, cfg.split.test_data_out
-    paths = [os.path.realpath(p) for p in
-             (data_path, schema_path, model_out, diagnostics_out, ids_out, data_out) if p]
-    if len(set(paths)) != len(paths):
-        raise BadConfig("data, schema and output paths must be distinct")
+    _check_distinct("data, schema and output paths must be distinct",
+                    [data_path, schema_path, model_out, diagnostics_out, ids_out, data_out])
 
     schema = load_schema(schema_path)
     dataset = load_dataset(data_path, schema)
@@ -146,17 +153,16 @@ def cmd_train(args) -> int:
 
 def write_predictions_csv(predictions, path):
     """Long CSV of predicted curves on the response grid; repr-float round-trip."""
-    times, values = predictions.grid.points, predictions.values
-
-    def blocks(lo, hi):
-        return (((sid, name), times, curve)
-                for sid, curves in zip(predictions.subject_ids[lo:hi], values[lo:hi])
-                for name, curve in zip(predictions.channel_names, curves))
-
-    _write_subjects(path, PREDICTIONS_HEADER, blocks, [curves.size for curves in values])
+    times = predictions.grid.points
+    _write_long_csv(path, PREDICTIONS_HEADER,
+                    [((sid, name), times, curve)
+                     for sid, curves in zip(predictions.subject_ids, predictions.values)
+                     for name, curve in zip(predictions.channel_names, curves)])
 
 
 def cmd_predict(args) -> int:
+    _check_distinct("--out must differ from --model, --data and --schema", [args.out],
+                    [args.model, args.data, args.schema])
     model = load_model(args.model)
     dataset = load_dataset(args.data, load_schema(args.schema))
     predictions = predict_pipeline(model, dataset)
@@ -170,7 +176,8 @@ def cmd_predict(args) -> int:
 
 
 def evaluate_csv(pred_path, truth_path) -> MetricsReport:
-    """Metrics of a predictions CSV against a truth CSV, no schema needed."""
+    """Metrics of a predictions CSV (4-column) against a truth CSV (4- or
+    5-column, its response rows), no schema needed."""
     predicted = _read_series(pred_path)
     observed = _read_series(truth_path, role="response")
     return _score_series(predicted, observed, sorted({name for _, name in predicted}),
@@ -178,6 +185,8 @@ def evaluate_csv(pred_path, truth_path) -> MetricsReport:
 
 
 def cmd_evaluate(args) -> int:
+    _check_distinct("--out must differ from --predictions and --truth", [args.out],
+                    [args.predictions, args.truth])
     report = evaluate_csv(args.predictions, args.truth)
     doc = report.to_dict()
     if args.out:

@@ -632,20 +632,22 @@ def _read_columns(path, headers=(CSV_HEADER,)):
     return ids, times, values
 
 
-def _group(ids, times, values):
+def _group(path, ids, times, values, rows=None):
     """Group the rows of ``_read_columns`` by (subject, variable), stably
-    sorted by time.
+    sorted by time, as {(subject, variable): (times, values)}, each a
+    read-only slice of one pooled column.
 
-    Returns a mask of the rows that repeat an earlier row's (subject,
-    variable, time), and {(subject, variable): (times, values)}, each a
-    read-only slice of one pooled column.  Rows already in (subject,
-    variable, time) order of their codes, as fofr writes every file, are
-    taken as they are; others are sorted with ``np.lexsort``.
+    Rows already in (subject, variable, time) order of their codes, as fofr
+    writes every file, are taken as they are; others are sorted with
+    ``np.lexsort``.  The first row that repeats an earlier row's (subject,
+    variable, time) raises DuplicateTimestamp naming its line of ``path``:
+    row i is file row ``rows[i]`` when rows were dropped, else file row i.
     """
     (subjects, subject), (variables, variable) = ids[:2]
     step_s, step_v, step_t = np.diff(subject), np.diff(variable), np.diff(times)
     step_back = (step_s < 0) | (step_s == 0) & ((step_v < 0) | (step_v == 0) & (step_t < 0))
     later = np.s_[1:]  # where the grouped rows after the first sit in the file
+    in_file = subject, variable, times
     if step_back.any():
         order = np.lexsort((times, variable, subject))
         subject, variable, times, values = (column[order]
@@ -654,30 +656,46 @@ def _group(ids, times, values):
     same = (subject[1:] == subject[:-1]) & (variable[1:] == variable[:-1])
     repeat = np.zeros(len(times), dtype=bool)
     repeat[later] = same & (times[1:] == times[:-1])
+    if repeat.any():
+        i = int(np.argmax(repeat))
+        s, v, t = (column[i] for column in in_file)
+        raise DuplicateTimestamp(
+            f"{path}:{(i if rows is None else rows[i]) + 2}: subject {subjects[s]!r} "
+            f"variable {variables[v]!r}: duplicate time {float(t)}")
     starts = np.concatenate(([0], np.flatnonzero(~same) + 1))
     bounds = starts.tolist() + [len(times)]
     times, values = times.view(), values.view()
     times.flags.writeable = values.flags.writeable = False
-    groups = {(subjects[s], variables[v]): (times[a:b], values[a:b])
-              for s, v, a, b in zip(subject[starts].tolist(), variable[starts].tolist(),
-                                    bounds, bounds[1:])}
-    return repeat, groups
+    return {(subjects[s], variables[v]): (times[a:b], values[a:b])
+            for s, v, a, b in zip(subject[starts].tolist(), variable[starts].tolist(),
+                                  bounds, bounds[1:])}
 
 
 def _read_series(path, role=None) -> dict:
-    """{(subject, variable): (times, values)} of a long CSV in either dialect.
+    """{(subject, variable): (times, values)} of a predictions CSV, or with
+    ``role``, of the rows of that role in a long CSV of either dialect.
 
-    In a file with a role column, ``role`` keeps only the rows of that role.
+    A role other than ``covariate`` or ``response`` raises MalformedRow
+    naming its line; a repeated row raises as in ``_group``.
     """
+    if role is None:
+        return _group(path, *_read_columns(path, (PREDICTIONS_HEADER,)))
     ids, times, values = _read_columns(path, (CSV_HEADER, PREDICTIONS_HEADER))
-    if role is not None and len(ids) == 3:
+    rows = None
+    if len(ids) == 3:
         roles, row_role = ids.pop()
+        unknown = [r for r in roles if r not in ("covariate", "response")]
+        if unknown:  # roles come in order of first appearance
+            i = int(np.argmax(row_role == roles.index(unknown[0])))
+            raise MalformedRow(f"{path}:{i + 2}: role {unknown[0]!r} is neither "
+                               f"'covariate' nor 'response'")
         keep = np.array([r == role for r in roles])[row_role]
         if not keep.any():
             raise MalformedRow(f"{path}: no {role} rows")
+        rows = np.flatnonzero(keep)
         ids = [(names, codes[keep]) for names, codes in ids]
         times, values = times[keep], values[keep]
-    return _group(ids, times, values)[1]
+    return _group(path, ids, times, values, rows)
 
 
 def load_dataset(path, schema: DatasetSchema) -> FunctionalDataset:
@@ -713,19 +731,14 @@ def load_dataset(path, schema: DatasetSchema) -> FunctionalDataset:
             f"{path}:{i + 2}: time {float(times[i])} outside declared interval "
             f"[{domain.lo}, {domain.hi}] for {variables[variable[i]]!r}")
 
-    repeat, groups = _group(ids, times, values)
-    if repeat.any():
-        i = int(np.argmax(repeat))
-        raise DuplicateTimestamp(
-            f"{path}:{i + 2}: subject {subjects[subject[i]]!r} variable "
-            f"{variables[variable[i]]!r}: duplicate time {float(times[i])}")
+    groups = _group(path, ids, times, values)
 
     def series(sid, var):
         if (sid, var) not in groups:
             first = np.argmax(subject == subjects.index(sid))
             raise MissingChannel(
                 f"{path}:{first + 2}: subject {sid!r} lacks declared variable {var!r}")
-        return _checked_series(*groups[sid, var])  # checked above, over all rows
+        return _checked_series(*groups[sid, var])  # checked over all rows
 
     subject_ids = sorted(subjects)
     covariates = [[series(sid, var) for var in schema.covariates] for sid in subject_ids]
@@ -763,42 +776,40 @@ def _long_csv_rows(blocks):
         yield "".join([f"{prefix},{t},{v!r}\n" for t, v in zip(stamps, values.tolist())])
 
 
-def _write_long_csv(path, header, blocks, tail=None):
-    """Write a long CSV: ``header``, the rows of ``blocks`` (see
-    ``_long_csv_rows``), then the bytes of the binary file ``tail``, if any."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(_long_csv_rows(blocks))
-        if tail is not None:
-            fh.flush()
-            shutil.copyfileobj(tail, fh.buffer)
+def _write_long_csv(path, header, blocks):
+    """Write a long CSV: ``header``, then the rows of the list ``blocks`` of
+    ``(ids, times, values)`` series (see ``_long_csv_rows``).
 
-
-def _write_subjects(path, header, blocks, rows):
-    """Write the long CSV of ``blocks(lo, hi)``, the blocks of subjects
-    ``lo`` to ``hi - 1``, where subject i has ``rows[i]`` rows.
-
-    A file of at least ``SPLIT_ROWS`` rows is cut between the subjects that
-    halve its rows: a forked child formats the second half of the subjects
-    while this process writes the first, then sends its bytes to follow
-    them.  The bytes are those of one ``_write_long_csv`` over all subjects.
+    A file of at least ``SPLIT_ROWS`` rows is cut between the series that
+    halve its rows: a forked child formats the series after the cut while
+    this process writes those before it, then sends its bytes to follow
+    them.  The bytes are those of the one-process write.
     """
-    ends = np.cumsum(rows)
+    ends = np.cumsum([len(times) for _, times, _ in blocks])
     total = int(ends[-1]) if len(ends) else 0
     mid = int(np.searchsorted(ends, total / 2, side="right"))
-    if _two_processes(total, SPLIT_ROWS) and 0 < mid < len(rows):
+
+    def write(blocks, tail=None):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            fh.writelines(_long_csv_rows(blocks))
+            if tail is not None:
+                fh.flush()
+                shutil.copyfileobj(tail, fh.buffer)
+
+    if _two_processes(total, SPLIT_ROWS) and 0 < mid < len(blocks):
         def work(out):
-            out.write("".join(_long_csv_rows(blocks(mid, len(rows)))).encode("utf-8"))
+            out.write("".join(_long_csv_rows(blocks[mid:])).encode("utf-8"))
 
         try:
             with _forked(work) as pipe:
-                _write_long_csv(path, header, blocks(0, mid), pipe)
+                write(blocks[:mid], pipe)
             logger.debug("wrote %s in two processes: %d + %d rows",
                          path, ends[mid - 1], total - ends[mid - 1])
             return
         except _Serial:
             logger.debug("wrote %s in one process: the second half failed", path)
-    _write_long_csv(path, header, blocks(0, len(rows)))
+    write(blocks)
 
 
 def write_dataset(dataset: FunctionalDataset, path):
@@ -806,16 +817,10 @@ def write_dataset(dataset: FunctionalDataset, path):
     sides = [("covariate", dataset.covariate_names, dataset.covariates)]
     if dataset.responses is not None:
         sides.append(("response", dataset.response_names, dataset.responses))
-
-    def blocks(lo, hi):
-        return (((sid, name, role), series.times, series.values)
-                for i, sid in enumerate(dataset.subject_ids[lo:hi], lo)
-                for role, names, rows in sides
-                for name, series in zip(names, rows[i]))
-
-    rows = [sum(len(series) for _, _, side_rows in sides for series in side_rows[i])
-            for i in range(dataset.n_subjects)]
-    _write_subjects(path, CSV_HEADER, blocks, rows)
+    _write_long_csv(path, CSV_HEADER, [((sid, name, role), series.times, series.values)
+                                       for i, sid in enumerate(dataset.subject_ids)
+                                       for role, names, rows in sides
+                                       for name, series in zip(names, rows[i])])
 
 
 def write_schema(schema: DatasetSchema, path):

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fofr import core
 from fofr.cli import RunConfig, SplitConfig, evaluate_csv, main, write_predictions_csv
 from fofr.core import (PREDICTIONS_HEADER, Interval, _read_series, load_dataset, load_schema,
                        make_grid)
+from fofr.errors import DuplicateTimestamp, MalformedRow
 from fofr.pipeline import PredictionSet, evaluate, load_model, predict_pipeline
 
 
@@ -522,6 +524,94 @@ class TestEvaluate:
         code, _, _ = run(capsys, "evaluate", "--predictions", str(bad),
                          "--truth", str(out_dir / "data.csv"))
         assert code == 2
+
+
+class TestEvaluateRejects:
+    """``fofr evaluate`` holds both of its files to the long-CSV contract that
+    ``load_dataset`` holds a dataset to, and exits 2 with one ``error:`` line."""
+
+    @pytest.fixture
+    def files(self, trained, capsys):
+        tmp, out_dir, model, _ = trained
+        pred = tmp / "pred.csv"
+        assert run(capsys, "predict", "--model", str(model), "--data", str(out_dir / "data.csv"),
+                   "--schema", str(out_dir / "schema.json"), "--out", str(pred))[0] == 0
+        return pred, out_dir / "data.csv", out_dir / "schema.json"
+
+    @pytest.mark.parametrize("order", ["in order", "shuffled"])
+    @pytest.mark.parametrize("which", ["predictions", "truth"])
+    def test_repeated_row(self, files, tmp_path, capsys, which, order):
+        pred, truth, schema = files
+        lines = (pred if which == "predictions" else truth).read_text().splitlines()
+        j = next(i for i, line in enumerate(lines) if line.startswith("s0003,y1,"))
+        lines = lines[:j + 1] + lines[j:]  # the copy, at line j + 2, follows its row
+        if order == "shuffled":  # the rows after the copy
+            rest = lines[j + 2:]
+            lines[j + 2:] = [rest[i] for i in np.random.default_rng(0).permutation(len(rest))]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        files = {"predictions": pred, "truth": truth, which: bad}
+        code, _, err = run(capsys, "evaluate", "--predictions", str(files["predictions"]),
+                           "--truth", str(files["truth"]))
+        assert code == 2
+        assert_one_error_line(err)
+        assert f"error: {bad}:{j + 2}: subject 's0003' variable 'y1': duplicate time" in err
+        if which == "truth":
+            with pytest.raises(DuplicateTimestamp) as raised:
+                load_dataset(bad, load_schema(schema))
+            assert err == f"error: {raised.value}\n"
+
+    def test_unknown_role_in_truth(self, files, tmp_path, capsys):
+        pred, truth, schema = files
+        lines = truth.read_text().splitlines()
+        j = next(i for i, line in enumerate(lines) if ",response," in line)
+        lines[j] = lines[j].replace(",response,", ",respnse,")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "evaluate", "--predictions", str(pred), "--truth", str(bad))
+        assert code == 2
+        assert_one_error_line(err)
+        assert err.startswith(f"error: {bad}:{j + 1}: role 'respnse' is neither")
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(bad))}:{j + 1}: "):
+            load_dataset(bad, load_schema(schema))
+
+    def test_dataset_as_predictions(self, files, capsys):
+        _, truth, _ = files
+        code, _, err = run(capsys, "evaluate", "--predictions", str(truth), "--truth", str(truth))
+        assert code == 2
+        assert_one_error_line(err)
+        assert "expected header 'subject_id,variable_id,time,value'" in err
+
+
+class TestOutputPaths:
+    """An output path of ``fofr predict`` or ``fofr evaluate`` that names one
+    of the command's inputs exits 2 and leaves the input as it was."""
+
+    @pytest.mark.parametrize("over", ["--model", "--data", "--schema"])
+    def test_predict_out_over_an_input(self, trained, capsys, over):
+        tmp, out_dir, model, _ = trained
+        argv = {"--model": str(model), "--data": str(out_dir / "data.csv"),
+                "--schema": str(out_dir / "schema.json")}
+        before = open(argv[over], "rb").read()
+        head, name = os.path.split(argv[over])
+        code, _, err = run(capsys, "predict", *chain(*argv.items()),
+                           "--out", os.path.join(head, ".", name))
+        assert code == 2
+        assert err == "error: --out must differ from --model, --data and --schema\n"
+        assert open(argv[over], "rb").read() == before
+
+    @pytest.mark.parametrize("over", ["--predictions", "--truth"])
+    def test_evaluate_out_over_an_input(self, trained, tmp_path, capsys, over):
+        tmp, out_dir, model, _ = trained
+        pred = tmp_path / "pred.csv"
+        assert run(capsys, "predict", "--model", str(model), "--data", str(out_dir / "data.csv"),
+                   "--schema", str(out_dir / "schema.json"), "--out", str(pred))[0] == 0
+        argv = {"--predictions": str(pred), "--truth": str(out_dir / "data.csv")}
+        before = open(argv[over], "rb").read()
+        code, _, err = run(capsys, "evaluate", *chain(*argv.items()), "--out", argv[over])
+        assert code == 2
+        assert err == "error: --out must differ from --predictions and --truth\n"
+        assert open(argv[over], "rb").read() == before
 
 
 class TestFpcaReport:

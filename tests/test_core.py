@@ -703,7 +703,7 @@ def _time_blocks(kind):
 
 
 def _subject_blocks(kind):
-    """Per subject, the blocks that ``core._write_subjects`` writes, two
+    """Per subject, the series that ``core._write_long_csv`` writes, two
     channels each; the subjects' rows split evenly between the halves."""
     rng = np.random.default_rng(len(kind))
     grid = np.linspace(0.0, 1.0, 7)
@@ -748,10 +748,10 @@ class TestWriter:
 
         expected = [((f"s{i}", "y1"), np.linspace(0.0, 1.0, 5) + [0, i, i, i, i], np.zeros(5))
                     for i in range(3)]
-        path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
-        core._write_long_csv(path, PREDICTIONS_HEADER, blocks())
+        reference = tmp_path / "reference.csv"
         per_block_write_long_csv(reference, PREDICTIONS_HEADER, expected)
-        assert path.read_bytes() == reference.read_bytes()
+        header = ",".join(PREDICTIONS_HEADER) + "\n"
+        assert header + "".join(core._long_csv_rows(blocks())) == reference.read_text()
 
     def test_quoted_ids_match_csv_writer_and_load_back(self, tmp_path):
         data, schema = small_dataset()
@@ -785,8 +785,7 @@ class TestWriter:
         path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
         monkeypatch.setattr(core, "SPLIT_ROWS", 0)
         with caplog.at_level(logging.DEBUG, logger="fofr"):
-            core._write_subjects(path, PREDICTIONS_HEADER,
-                                 lambda lo, hi: chain.from_iterable(subjects[lo:hi]), rows)
+            core._write_long_csv(path, PREDICTIONS_HEADER, list(chain(*subjects)))
         assert no_child_left()
         half = sum(rows) // 2
         assert f"wrote {path} in two processes: {half} + {half} rows" in caplog.text
@@ -805,15 +804,35 @@ class TestWriter:
         assert no_child_left()
         assert path.read_bytes() == serial.read_bytes()
 
+    def test_split_write_may_cut_inside_a_subject(self, tmp_path, monkeypatch, caplog):
+        sc = replace(preset_scenario("linear"), n_subjects=6, sampling=("irregular", 10.0, 2))
+        data, _ = generate(sc)
+        subjects = [[len(s) for side in (data.covariates, data.responses) for s in side[i]]
+                    for i in range(data.n_subjects)]
+        ends = np.cumsum(list(chain(*subjects)))
+        total = int(ends[-1])
+        first = int(ends[np.searchsorted(ends, total / 2, side="right") - 1])
+        # the series that halve the rows split a subject
+        assert first not in np.cumsum([sum(rows) for rows in subjects])
+        path, serial = tmp_path / "data.csv", tmp_path / "serial.csv"
+        write_dataset(data, serial)
+        monkeypatch.setattr(core, "SPLIT_ROWS", 0)
+        with caplog.at_level(logging.DEBUG, logger="fofr"):
+            write_dataset(data, path)
+        assert no_child_left()
+        assert path.read_bytes() == serial.read_bytes()
+        halves = re.search(r"wrote .* in two processes: (\d+) \+ (\d+) rows", caplog.text)
+        assert halves and [int(h) for h in halves.groups()] == [first, total - first]
+        assert sum(map(int, halves.groups())) == len(path.read_text().splitlines()) - 1
+
     def test_failed_second_half_raises_as_the_serial_writer(self, tmp_path, monkeypatch):
         subjects = _subject_blocks("shared grid")
         (ids, times, values), *rest = subjects[-1]
         subjects[-1] = [(("s\ud800", ids[1]), times, values), *rest]  # not UTF-8 encodable
-        rows = [sum(len(times) for _, times, _ in blocks) for blocks in subjects]
         monkeypatch.setattr(core, "SPLIT_ROWS", 0)
         with pytest.raises(UnicodeEncodeError):
-            core._write_subjects(tmp_path / "data.csv", PREDICTIONS_HEADER,
-                                 lambda lo, hi: chain.from_iterable(subjects[lo:hi]), rows)
+            core._write_long_csv(tmp_path / "data.csv", PREDICTIONS_HEADER,
+                                 list(chain(*subjects)))
         assert no_child_left()
 
     def test_prediction_only_dataset(self, tmp_path):
