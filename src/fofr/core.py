@@ -17,12 +17,13 @@ import os
 import pickle
 import shutil
 import signal
+import stat
 import threading
 import typing
 import warnings
 from array import array
 from dataclasses import dataclass, is_dataclass, replace
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -328,10 +329,14 @@ def load_schema(path) -> DatasetSchema:
     return DatasetSchema.from_dict(_read_json(path, MalformedRow))
 
 
-#: a chunk of lines ends with the line that reaches this many characters; it
-#: converts as fast as larger chunks, and the less it holds at once, the less
-#: its short-lived strings and lists grow the heap (64 KiB raised peak RSS ~1 MB)
+#: a block of a long CSV's bytes ends with the last line end in this many
+#: bytes; it converts as fast as larger blocks, and the less it holds at once,
+#: the less its short-lived objects grow the heap (64 KiB raised peak RSS ~1 MB)
 _CHUNK_CHARS = 1 << 13
+#: a read converts each distinct time string once while it has converted
+#: fewer than this many: a dense file has one per grid point, an irregular
+#: one about one per row, which the cap keeps from growing the heap
+_STAMPS = 4096
 
 #: a long CSV of at least this many bytes is read in two processes, and one
 #: of at least this many rows written in two; on smaller files the fork, the
@@ -344,7 +349,8 @@ _LINE_SEARCH = 1 << 16
 
 
 class _Serial(Exception):
-    """A half of a long CSV that only the serial reader or writer may convert."""
+    """A long CSV, or a half of one, that only the ``csv`` module's reader
+    (``_convert``) or the one-process writer may convert."""
 
 
 def _two_processes(size, threshold) -> bool:
@@ -409,44 +415,6 @@ def _forked(work):
         raise _Serial
 
 
-def _chunks(fh, ncol, fast_only=False):
-    """Yield the data rows of ``fh`` in chunks as ``(rows, columns)``.
-
-    ``columns`` is ``(keys, times, values)``, the chunk's rows split into
-    their id fields, time and value, or None when a row has too few fields;
-    ``rows`` iterates the chunk's rows as ``csv.reader`` parses them, for
-    naming a bad line.  A chunk of lines free of quotes, carriage returns and
-    NULs (which the csv module rejects before Python 3.11), and shorter than
-    its field limit, is split at each line's last two commas, and its keys
-    are the id prefixes ``subject,variable[,role]`` as strings: a row with
-    too many fields has a key with too many commas.  From the first chunk
-    that is not, ``csv.reader`` parses the rest of the file, so a quoted
-    field may span lines and chunks, and its keys are tuples of the id
-    fields.  With ``fast_only`` such a chunk raises ``_Serial`` instead.
-    """
-    while lines := fh.readlines(_CHUNK_CHARS):
-        text = "".join(lines)
-        if (len(text) >= csv.field_size_limit() or '"' in text or "\r" in text
-                or "\0" in text):
-            if fast_only:
-                raise _Serial
-            break
-        try:  # float() ignores the line end left on each value
-            keys, times, values = zip(*map(str.rsplit, lines, repeat(","), repeat(2)))
-        except ValueError:  # a line with fewer than three fields
-            yield csv.reader(lines), None
-            continue
-        yield csv.reader(lines), (keys, times, values)
-    else:
-        return
-    for rows in _batches(csv.reader(chain(lines, fh)), len(lines)):
-        if any(len(row) != ncol for row in rows):
-            yield rows, None
-        else:
-            *ids, times, values = zip(*rows)
-            yield rows, (list(zip(*ids)), times, values)
-
-
 def _batches(items, size):
     """Lists of up to ``size`` consecutive ``items``.  On a csv or decoding
     fault, the items read before it come out before the fault is raised, so
@@ -478,99 +446,135 @@ def _check_rows(path, rows, ncol, lineno):
             raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
 
 
-def _convert(fh, ncol, path, fast_only=False):
-    """The data rows of ``fh`` as ``(seen, codes, times, values)``: a {key:
-    code} dict of the rows' keys (see ``_chunks``) in order of first
-    appearance, then arrays of the rows' key codes, times and values.
+def _convert(fh, ncol, path):
+    """The data rows of the text file ``fh`` as ``(seen, codes, times,
+    values)``: a {key: code} dict of the rows' keys, the tuples of their id
+    fields, in order of first appearance, then arrays of the rows' key codes,
+    times and values.
 
-    The rows are converted a chunk at a time; a key is checked for its field
-    count only when it first appears.  The first bad line is searched for
-    only in a chunk that fails to convert, and raises MalformedRow naming its
-    line of ``path``, the first row being line 2.  With ``fast_only``, a bad
-    row raises ``_Serial`` instead, as does a chunk that needs ``csv.reader``.
+    ``csv.reader`` parses the rows, so a quoted field may span lines; they
+    are converted ``_CHUNK_CHARS // 32`` rows at a time (at least one), about
+    a block's rows.  The first bad line is searched for only in a chunk that
+    fails to convert, and raises MalformedRow naming its line of ``path``,
+    the first row being line 2.
     """
     seen = {}
     codes, times, values = array("i"), array("d"), array("d")
-    for rows, columns in _chunks(fh, ncol, fast_only):
+    for rows in _batches(csv.reader(fh), max(1, _CHUNK_CHARS >> 5)):
         try:
-            if columns is None:  # a row has too few fields
+            if any(len(row) != ncol for row in rows):
                 raise ValueError
-            keys, t, v = columns
-            n = len(keys)
+            *ids, t, v = zip(*rows)
+            n = len(rows)
             t, v = np.fromiter(map(float, t), float, n), np.fromiter(map(float, v), float, n)
-            new = [key for key in dict.fromkeys(keys) if key not in seen]
-            if any(isinstance(key, str) and key.count(",") != ncol - 3 for key in new):
-                raise ValueError
         except ValueError:
-            if fast_only:
-                raise _Serial from None
             _check_rows(path, rows, ncol, len(times) + 2)
             raise
-        seen.update(zip(new, range(len(seen), len(seen) + len(new))))
-        codes.frombytes(np.fromiter(map(seen.__getitem__, keys), np.intc, n).tobytes())
+        codes.frombytes(np.fromiter((seen.setdefault(key, len(seen)) for key in zip(*ids)),
+                                    np.intc, n).tobytes())
         times.frombytes(t.tobytes())
         values.frombytes(v.tobytes())
     return seen, codes, times, values
 
 
-class _Window(io.RawIOBase):
-    """Bytes ``start`` up to ``stop`` of the file open at descriptor ``fd``,
-    read with ``os.pread``, which leaves the descriptor's offset alone."""
-
-    def __init__(self, fd, start, stop):
-        self.fd, self.pos, self.stop = fd, start, stop
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        data = os.pread(self.fd, min(len(buffer), self.stop - self.pos), self.pos)
-        buffer[:len(data)] = data
-        self.pos += len(data)
-        return len(data)
+def _stamps(strings, n, cache):
+    """The ``n`` time ``strings`` of a block as floats, through the {bytes:
+    float} ``cache`` of one read.  A block with a string the cache lacks is
+    converted string by string, and its strings are added while the cache
+    holds fewer than ``_STAMPS``.  Equal bytes give an equal float, so
+    ``-0.0`` and ``0.0`` stay apart."""
+    try:
+        return np.fromiter(map(cache.__getitem__, strings), float, n)
+    except KeyError:
+        floats = np.fromiter(map(float, strings), float, n)
+    if len(cache) < _STAMPS:
+        cache.update(zip(strings, floats.tolist()))
+    return floats
 
 
-def _read_in_two(path, fd, ncol):
-    """``_convert``'s columns of the long CSV open at ``fd``, whose header
-    has been read, or None when it is to be read serially.
+def _fast_convert(fd, lo, hi, ncol):
+    """``_convert``'s columns of bytes ``lo`` up to ``hi`` of the file open at
+    ``fd``, whole lines of a long CSV, or ``_Serial`` when only ``_convert``
+    may read them.
+
+    The bytes are read with ``os.pread`` in blocks of ``_CHUNK_CHARS``, each
+    ending at its last line end (a longer line doubles the read).  Each line
+    is split at its last two commas into its key (the id prefix
+    ``subject,variable[,role]``), time and value.  A key is checked for its
+    comma count when it first appears, and each distinct key is decoded from
+    UTF-8 into its tuple of ids once, at the end.  Values go through
+    ``float()``, times through ``_stamps``.  ``_Serial`` is raised where the
+    csv module would read the bytes otherwise, or where they hold a fault
+    for ``_convert`` to report: a block holding a quote, carriage return or
+    NUL, or of ``csv.field_size_limit()`` bytes or more; a line with fewer
+    than three fields or a key with the wrong comma count; a time or value
+    that ``float`` rejects as bytes (as text it also takes non-ASCII digits
+    and spaces); a key that is not UTF-8.
+    """
+    limit, size = csv.field_size_limit(), _CHUNK_CHARS
+    coded, stamps = {}, {}
+    codes, times, values = array("i"), array("d"), array("d")
+    while lo < hi:
+        block = os.pread(fd, min(size, hi - lo), lo)
+        if (not block or len(block) >= limit or b'"' in block or b"\r" in block
+                or b"\0" in block):
+            raise _Serial
+        if lo + len(block) < hi:
+            end = block.rfind(b"\n") + 1
+            if not end:  # a line longer than the block
+                size *= 2
+                continue
+            block, size = block[:end], _CHUNK_CHARS
+        lo += len(block)
+        try:  # a line with fewer than three fields, or a number float() rejects
+            keys, t, v = zip(*map(bytes.rsplit, block.splitlines(), repeat(b","), repeat(2)))
+            n = len(keys)
+            t, v = _stamps(t, n, stamps), np.fromiter(map(float, v), float, n)
+        except ValueError:
+            raise _Serial from None
+        new = [key for key in dict.fromkeys(keys) if key not in coded]
+        if any(key.count(b",") != ncol - 3 for key in new):
+            raise _Serial
+        coded.update(zip(new, range(len(coded), len(coded) + len(new))))
+        codes.frombytes(np.fromiter(map(coded.__getitem__, keys), np.intc, n).tobytes())
+        times.frombytes(t.tobytes())
+        values.frombytes(v.tobytes())
+    try:
+        seen = {tuple(key.decode("utf-8").split(",")): code for key, code in coded.items()}
+    except UnicodeDecodeError:
+        raise _Serial from None
+    return seen, codes, times, values
+
+
+def _read_in_two(path, fd, start, size, ncol):
+    """``_fast_convert``'s columns of the data rows of the long CSV open at
+    ``fd``, bytes ``start`` up to ``size``, converted in two processes, or
+    None when the file is to be read in one.
 
     A file of at least ``SPLIT_BYTES`` bytes is cut at the first line end
     past the middle of its data rows.  This process converts the first half
     while a forked child converts the second.  The child sends its keys and
     row count pickled, then the raw bytes of its three columns, which are
     read straight into the tail of the merged columns; the second half's keys
-    are then coded after the first's.  When the header line holds a quote or
-    carriage return, or either half meets a chunk that needs ``csv.reader``,
-    a bad row or bytes that are not UTF-8, None is returned, so that the
-    serial reader reports every fault as it would on its own.
+    are then coded after the first's.  When either half raises ``_Serial``,
+    or the child fails, ``_Serial`` is raised.
     """
-    size = os.fstat(fd).st_size
     if not _two_processes(size, SPLIT_BYTES):
         return None
-    head = os.pread(fd, _LINE_SEARCH, 0)
-    start = head.find(b"\n") + 1
     mid = (start + size) // 2
     split = mid + os.pread(fd, _LINE_SEARCH, mid).find(b"\n") + 1
-    if not start or b'"' in head[:start] or b"\r" in head[:start] or not mid < split < size:
+    if not mid < split < size:
         return None
 
-    def half(lo, hi):
-        with io.TextIOWrapper(io.BufferedReader(_Window(fd, lo, hi)),
-                              encoding="utf-8", newline="") as fh:
-            try:
-                return _convert(fh, ncol, path, fast_only=True)
-            except UnicodeDecodeError as exc:
-                raise _Serial from exc
-
     def send(out):
-        seen, *columns = half(split, size)
+        seen, *columns = _fast_convert(fd, split, size, ncol)
         pickle.dump((list(seen), len(columns[0])), out)
         for column in columns:
             out.write(column)
 
     try:
         with _forked(send) as pipe:
-            seen, *own = half(start, split)
+            seen, *own = _fast_convert(fd, start, split, ncol)
             keys, more = pickle.load(pipe)
             rows = len(own[0])
             merged = []
@@ -580,9 +584,8 @@ def _read_in_two(path, fd, ncol):
                 if pipe.readinto(column[rows:]) != column[rows:].nbytes:
                     raise EOFError
                 merged.append(column)
-    except (_Serial, EOFError, pickle.UnpicklingError):
-        logger.debug("read %s in one process: a half needs the serial reader", path)
-        return None
+    except (_Serial, EOFError, pickle.UnpicklingError) as exc:
+        raise _Serial("a half") from exc
     logger.debug("read %s in two processes: %d + %d rows", path, rows, more)
     recode = np.array([seen.setdefault(key, len(seen)) for key in keys], np.intc)
     merged[0][rows:] = recode[merged[0][rows:]]
@@ -596,11 +599,13 @@ def _read_columns(path, headers=(CSV_HEADER,)):
     Returns ``(ids, times, values)``.  ``ids`` holds a ``(names, codes)`` pair
     per id column (subject, variable, then role if the file has one); names
     are in order of first appearance.  Row i of the columns is line i + 2.
-    The file is converted a chunk of rows at a time (see ``_convert``), in
-    two processes when it is large (see ``_read_in_two``), with the same
-    result.  Bytes that are not UTF-8 are found a chunk ahead, so they may be
-    reported in place of a bad row up to ``_CHUNK_CHARS`` characters before
-    them.
+    The data rows are converted from bytes (see ``_fast_convert``), in two
+    processes when the file is large (see ``_read_in_two``).  A header line
+    holding a quote or carriage return, or data rows that raise ``_Serial``,
+    send the whole file to ``_convert`` in one process, which gives the same
+    columns or reports the first fault.  There bytes that are not UTF-8 are
+    decoded a chunk ahead, so they may be reported in place of a bad row a
+    few KiB before them.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -608,9 +613,24 @@ def _read_columns(path, headers=(CSV_HEADER,)):
             if header not in headers:
                 expected = " or ".join(repr(",".join(h)) for h in headers)
                 raise MalformedRow(f"{path}: expected header {expected}, got {header!r}")
-            ncol = len(header)
-            seen, codes, times, values = (_read_in_two(path, fh.fileno(), ncol)
-                                          or _convert(fh, ncol, path))
+            ncol, fd = len(header), fh.fileno()
+            info = os.fstat(fd)
+            try:
+                # bytes are read by position: a pipe, or a platform without
+                # os.pread (Windows), takes the csv module's path
+                if not (hasattr(os, "pread") and stat.S_ISREG(info.st_mode)):
+                    raise _Serial
+                head = os.pread(fd, _LINE_SEARCH, 0)
+                start = head.find(b"\n") + 1
+                if not start or b'"' in head[:start] or b"\r" in head[:start]:
+                    raise _Serial
+                seen, codes, times, values = (
+                    _read_in_two(path, fd, start, info.st_size, ncol)
+                    or _fast_convert(fd, start, info.st_size, ncol))
+            except _Serial as exc:
+                logger.debug("read %s in one process: %s needs the serial reader",
+                             path, str(exc) or "the file")
+                seen, codes, times, values = _convert(fh, ncol, path)
     except (csv.Error, UnicodeDecodeError) as exc:  # bad quoting or encoding
         raise MalformedRow(f"{path}: unreadable CSV ({exc})") from exc
 
@@ -620,12 +640,11 @@ def _read_columns(path, headers=(CSV_HEADER,)):
     bad = ~(np.isfinite(times) & np.isfinite(values))
     if bad.any():
         raise MalformedRow(f"{path}:{np.argmax(bad) + 2}: non-finite time/value")
-    # each distinct key is decoded once: keys come in order of first
-    # appearance, so each id column's names come out in that order too
+    # keys come in order of first appearance, so each id column's names come
+    # out in that order too
     codes = np.frombuffer(codes, np.intc)
-    fields = [key.split(",") if isinstance(key, str) else key for key in seen]
     ids = []
-    for column in zip(*fields):
+    for column in zip(*seen):
         names = {}
         table = np.array([names.setdefault(name, len(names)) for name in column], np.intc)
         ids.append((list(names), table[codes]))

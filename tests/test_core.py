@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fofr import core
+from fofr.cli import write_predictions_csv
 from fofr.core import (
     CSV_HEADER,
     PREDICTIONS_HEADER,
@@ -39,7 +40,7 @@ from fofr.errors import (
     MalformedRow,
     MissingChannel,
 )
-from fofr.pipeline import PipelineConfig, train_pipeline
+from fofr.pipeline import PipelineConfig, PredictionSet, train_pipeline
 from fofr.synthgen import dataset_schema, generate, preset_scenario
 
 
@@ -516,6 +517,15 @@ DIALECT_CASES = [
                  ":7: expected 5 fields, got 2", id="two-fields-mid-chunk"),
     pytest.param(HEAD + ROW + " s0000,x1 ,covariate,0.5,1.25\n" + " s0000 ,x1,covariate,0.5,1\n",
                  None, id="ids-with-spaces"),
+    pytest.param(HEAD + ROW + "s0000,x1,covariate,\u0661,1.25\n", None, id="arabic-indic-time"),
+    pytest.param(HEAD + ROW + "s0000,x1,covariate,\u20030.75,1.25\n", None,
+                 id="em-space-before-time"),
+    pytest.param(HEAD.encode() + ROW.encode() + b"s0000,x1,covariate,0.75,1.\xff5\n"
+                 + ROW.encode(), "unreadable CSV", id="non-utf8-value"),
+    pytest.param(HEAD + "s0000,x1,covariate,0.0,1.25\n" + "s0001,x1,covariate,-0.0,1.25\n"
+                 + "s0002,x1,covariate,0.0,-0.0\n", None, id="signed-zero-times"),
+    pytest.param(HEAD + ROW + "s" * csv.field_size_limit() + ",x1,covariate,0.5,1.25", None,
+                 id="field-limit-last-line"),
     pytest.param(HEAD, "no data rows", id="header-only"),
     pytest.param("", "expected header", id="empty"),
 ]
@@ -557,7 +567,10 @@ class TestColumnReader:
     @staticmethod
     def _write(tmp_path, text):
         path = tmp_path / "data.csv"
-        path.write_text(text, encoding="utf-8", newline="")
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8", newline="")
         return path
 
     @given(text=long_csv_texts(), chunk=st.sampled_from(CHUNK_SIZES))
@@ -657,6 +670,64 @@ class TestColumnReader:
         with caplog.at_level(logging.DEBUG, logger="fofr"):
             core._read_columns(path)
         assert path.stat().st_size < core.SPLIT_BYTES and not caplog.text
+
+    def test_quoted_file_logs_its_csv_module_read(self, tmp_path, caplog):
+        path = self._write(tmp_path, HEAD + "".join(many_rows()) + '"a,b",x1,covariate,0.5,1\n')
+        with caplog.at_level(logging.DEBUG, logger="fofr"):
+            outcome = read_outcome(core._read_columns, path)
+        assert outcome == read_outcome(reference_read_columns, path) and len(outcome) == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            f"read {path} in one process: the file needs the serial reader"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_by_the_csv_module(self, tmp_path, caplog):
+        text = (HEAD + "".join(many_rows())).encode()
+        r, w = os.pipe()
+        with open(w, "wb") as out:  # the pipe's buffer holds it all
+            out.write(text)
+        try:
+            with caplog.at_level(logging.DEBUG, logger="fofr"):
+                outcome = read_outcome(core._read_columns, f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert outcome == read_outcome(reference_read_columns, self._write(tmp_path, text))
+        assert "the file needs the serial reader" in caplog.text
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_repeated_times_past_the_time_cache(self, tmp_path, monkeypatch, split):
+        grid = [repr(t) for t in np.linspace(0.0, 1.0, 61).tolist()] + ["-0.0", "0.0"]
+        rows = [f"s{i:04d},x{c},covariate,{t},{i * 0.5 + c!r}\n"
+                for i in range(120) for c in (1, 2) for t in grid]
+        path = self._write(tmp_path, HEAD + "".join(rows))
+        monkeypatch.setattr(core, "_STAMPS", 1)
+        monkeypatch.setattr(core, "_convert", None)  # the bytes path reads it all
+        read = split_read_outcome if split else partial(read_outcome, core._read_columns)
+        assert read(path) == read_outcome(reference_read_columns, path)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_fofr_files_never_reach_the_csv_module(self, tmp_path, monkeypatch, caplog, split):
+        data, _ = small_dataset(n=40)
+        data = replace(data, subject_ids=[f"é {sid} ü" for sid in data.subject_ids])
+        grid = make_grid(Interval(0.0, 1.0), 61)
+        values = np.random.default_rng(3).standard_normal((40, 2, grid.size))
+        values[::3, :, 0] = -0.0
+        predictions = PredictionSet(data.subject_ids, ("y1", "y 2"), grid, values)
+        paths = [tmp_path / "data.csv", tmp_path / "pred.csv"]
+        write_dataset(data, paths[0])
+        write_predictions_csv(predictions, paths[1])
+
+        def csv_module(*args):
+            raise AssertionError("a fofr file reached the csv module")
+
+        monkeypatch.setattr(core, "_convert", csv_module)
+        for path in paths:
+            expected = read_outcome(reference_read_columns, path)
+            with caplog.at_level(logging.DEBUG, logger="fofr"):
+                assert (split_read_outcome(path) if split
+                        else read_outcome(core._read_columns, path)) == expected
+            assert len(expected) == 3
+        logged = [r.getMessage() for r in caplog.records]
+        assert len(logged) == 2 * split and all("in two processes" in m for m in logged)
 
 
 def reference_write_dataset(dataset, path):
