@@ -329,7 +329,7 @@ def load_schema(path) -> DatasetSchema:
     return DatasetSchema.from_dict(_read_json(path, MalformedRow))
 
 
-#: a block of a long CSV's bytes ends with the last line end in this many
+#: a block of a long CSV's bytes ends with the last LF in this many
 #: bytes; it converts as fast as larger blocks, and the less it holds at once,
 #: the less its short-lived objects grow the heap (64 KiB raised peak RSS ~1 MB)
 _CHUNK_CHARS = 1 << 13
@@ -415,65 +415,29 @@ def _forked(work):
         raise _Serial
 
 
-def _batches(items, size):
-    """Lists of up to ``size`` consecutive ``items``.  On a csv or decoding
-    fault, the items read before it come out before the fault is raised, so
-    that a bad row ahead of the fault is reported first."""
-    batch, fault = [], None
-    try:
-        for item in items:
-            batch.append(item)
-            if len(batch) == size:
-                yield batch
-                batch = []
-    except (csv.Error, UnicodeDecodeError) as exc:
-        fault = exc
-    if batch:
-        yield batch
-    if fault is not None:
-        raise fault
-
-
-def _check_rows(path, rows, ncol, lineno):
-    """Raise for the first of ``rows`` (which start at line ``lineno``) with a
-    wrong field count or a non-numeric time/value."""
-    for lineno, row in enumerate(rows, start=lineno):
-        if len(row) != ncol:
-            raise MalformedRow(f"{path}:{lineno}: expected {ncol} fields, got {len(row)}")
-        try:
-            float(row[-2]), float(row[-1])
-        except ValueError as exc:
-            raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
-
-
 def _convert(fh, ncol, path):
     """The data rows of the text file ``fh`` as ``(seen, codes, times,
     values)``: a {key: code} dict of the rows' keys, the tuples of their id
     fields, in order of first appearance, then arrays of the rows' key codes,
     times and values.
 
-    ``csv.reader`` parses the rows, so a quoted field may span lines; they
-    are converted ``_CHUNK_CHARS // 32`` rows at a time (at least one), about
-    a block's rows.  The first bad line is searched for only in a chunk that
-    fails to convert, and raises MalformedRow naming its line of ``path``,
-    the first row being line 2.
+    ``csv.reader`` parses the rows one at a time, so a quoted field may span
+    lines.  The first row with a wrong field count or a non-numeric
+    time/value raises MalformedRow naming its line of ``path``, the first row
+    being line 2; a csv or decoding fault raises where the reader meets it.
     """
     seen = {}
     codes, times, values = array("i"), array("d"), array("d")
-    for rows in _batches(csv.reader(fh), max(1, _CHUNK_CHARS >> 5)):
+    for lineno, row in enumerate(csv.reader(fh), start=2):
+        if len(row) != ncol:
+            raise MalformedRow(f"{path}:{lineno}: expected {ncol} fields, got {len(row)}")
         try:
-            if any(len(row) != ncol for row in rows):
-                raise ValueError
-            *ids, t, v = zip(*rows)
-            n = len(rows)
-            t, v = np.fromiter(map(float, t), float, n), np.fromiter(map(float, v), float, n)
-        except ValueError:
-            _check_rows(path, rows, ncol, len(times) + 2)
-            raise
-        codes.frombytes(np.fromiter((seen.setdefault(key, len(seen)) for key in zip(*ids)),
-                                    np.intc, n).tobytes())
-        times.frombytes(t.tobytes())
-        values.frombytes(v.tobytes())
+            t, v = float(row[-2]), float(row[-1])
+        except ValueError as exc:
+            raise MalformedRow(f"{path}:{lineno}: non-numeric time/value") from exc
+        codes.append(seen.setdefault(tuple(row[:-2]), len(seen)))
+        times.append(t)
+        values.append(v)
     return seen, codes, times, values
 
 
@@ -498,26 +462,27 @@ def _fast_convert(fd, lo, hi, ncol):
     may read them.
 
     The bytes are read with ``os.pread`` in blocks of ``_CHUNK_CHARS``, each
-    ending at its last line end (a longer line doubles the read).  Each line
-    is split at its last two commas into its key (the id prefix
+    ending at its last LF (a longer line doubles the read).  Lines end at
+    ``\r\n``, ``\r`` or ``\n``, as ``bytes.splitlines`` and ``csv.reader``
+    both end them, so a CRLF file gives the same rows and line numbers.
+    Each line is split at its last two commas into its key (the id prefix
     ``subject,variable[,role]``), time and value.  A key is checked for its
     comma count when it first appears, and each distinct key is decoded from
     UTF-8 into its tuple of ids once, at the end.  Values go through
     ``float()``, times through ``_stamps``.  ``_Serial`` is raised where the
     csv module would read the bytes otherwise, or where they hold a fault
-    for ``_convert`` to report: a block holding a quote, carriage return or
-    NUL, or of ``csv.field_size_limit()`` bytes or more; a line with fewer
-    than three fields or a key with the wrong comma count; a time or value
-    that ``float`` rejects as bytes (as text it also takes non-ASCII digits
-    and spaces); a key that is not UTF-8.
+    for ``_convert`` to report: a block holding a quote or NUL, or of
+    ``csv.field_size_limit()`` bytes or more; a line with fewer than three
+    fields or a key with the wrong comma count; a time or value that
+    ``float`` rejects as bytes (as text it also takes non-ASCII digits and
+    spaces); a key that is not UTF-8.
     """
     limit, size = csv.field_size_limit(), _CHUNK_CHARS
     coded, stamps = {}, {}
     codes, times, values = array("i"), array("d"), array("d")
     while lo < hi:
         block = os.pread(fd, min(size, hi - lo), lo)
-        if (not block or len(block) >= limit or b'"' in block or b"\r" in block
-                or b"\0" in block):
+        if not block or len(block) >= limit or b'"' in block or b"\0" in block:
             raise _Serial
         if lo + len(block) < hi:
             end = block.rfind(b"\n") + 1
@@ -600,12 +565,12 @@ def _read_columns(path, headers=(CSV_HEADER,)):
     per id column (subject, variable, then role if the file has one); names
     are in order of first appearance.  Row i of the columns is line i + 2.
     The data rows are converted from bytes (see ``_fast_convert``), in two
-    processes when the file is large (see ``_read_in_two``).  A header line
-    holding a quote or carriage return, or data rows that raise ``_Serial``,
-    send the whole file to ``_convert`` in one process, which gives the same
-    columns or reports the first fault.  There bytes that are not UTF-8 are
-    decoded a chunk ahead, so they may be reported in place of a bad row a
-    few KiB before them.
+    processes when the file is large (see ``_read_in_two``).  A pipe, a
+    header line holding a quote or a carriage return other than its closing
+    CRLF, or data rows that raise ``_Serial``, send the whole file to
+    ``_convert`` in one process, which gives the same columns or reports the
+    first fault.  There bytes that are not UTF-8 are decoded a chunk ahead,
+    so they may be reported in place of a bad row a few KiB before them.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -622,7 +587,9 @@ def _read_columns(path, headers=(CSV_HEADER,)):
                     raise _Serial
                 head = os.pread(fd, _LINE_SEARCH, 0)
                 start = head.find(b"\n") + 1
-                if not start or b'"' in head[:start] or b"\r" in head[:start]:
+                # a CR before the header's closing CRLF ends the header in
+                # the csv module, so the first LF may end a data row
+                if not start or b'"' in head[:start] or b"\r" in head[:start - 2]:
                     raise _Serial
                 seen, codes, times, values = (
                     _read_in_two(path, fd, start, info.st_size, ncol)

@@ -490,6 +490,8 @@ DIALECT_CASES = [
                  id="quoted-newline"),
     pytest.param((HEAD + ROW * 3).replace("\n", "\r\n"), None, id="crlf"),
     pytest.param((HEAD + ROW * 3).replace("\n", "\r"), None, id="cr"),
+    # no LF to end a block at, so the block grows past the field size limit
+    pytest.param((HEAD + ROW * 6000).replace("\n", "\r"), None, id="cr-past-the-field-limit"),
     pytest.param(HEAD + ROW + "\n" + ROW, "expected 5 fields, got 0", id="blank-line"),
     pytest.param(HEAD + ROW * 2 + ROW[:-1], None, id="no-final-newline"),
     pytest.param(HEAD + ROW + "s0\0,x1,covariate,0.5,1.25\n", None, id="nul"),
@@ -504,6 +506,9 @@ DIALECT_CASES = [
     pytest.param(HEAD + '"q",x1,covariate,0.5,1\n' + "s0000,x1\n"
                  + 's0000,x1,covariate,"0.5,1\n' + ROW * 6000,
                  ":3: expected 5 fields, got 2", id="bad-count-before-unclosed-quote"),
+    pytest.param(HEAD.encode() + ROW.encode() + b"s0000,x1,covariate,0.5,abc\n"
+                 + ROW.encode() * 600 + b"s0000,x1,covariate,0.75,1.\xff5\n",
+                 ":3: non-numeric", id="non-numeric-a-chunk-before-non-utf8"),
     pytest.param(HEAD + ROW + "s0000,x1,covariate,nan,1\n" + "s0000,x1\n",
                  ":4: expected 5 fields", id="bad-count-after-nan"),
     pytest.param(HEAD + ROW + "s0000,x1,covariate,0.5,1.0,2.0\n",
@@ -526,6 +531,10 @@ DIALECT_CASES = [
                  + "s0002,x1,covariate,0.0,-0.0\n", None, id="signed-zero-times"),
     pytest.param(HEAD + ROW + "s" * csv.field_size_limit() + ",x1,covariate,0.5,1.25", None,
                  id="field-limit-last-line"),
+    # line breaks to str.splitlines, but to neither bytes.splitlines nor csv
+    *[pytest.param(HEAD + ROW + f"s{c}1,x1{c},covariate,0.5,1.25\n" + ROW, None,
+                   id=f"id-with-{c.encode('unicode_escape').decode()}")
+      for c in "\x0b\x0c\x1c\x85"],
     pytest.param(HEAD, "no data rows", id="header-only"),
     pytest.param("", "expected header", id="empty"),
 ]
@@ -643,7 +652,7 @@ class TestColumnReader:
                      id="non-utf8-second-half"),
         pytest.param(752, b'"s,9",x1,covariate,0.5,1.25\n', None, None,
                      id="quote-second-half"),
-        pytest.param(752, b"s0009,x1,covariate,0.5,1.25\r\n", None, None,
+        pytest.param(752, b"s0009,x1,covariate,0.5,1.25\r\n", None, "506 + 494",
                      id="cr-second-half"),
     ])
     def test_split_faults_are_reported_as_by_the_serial_reader(self, tmp_path, caplog, line,
@@ -679,6 +688,31 @@ class TestColumnReader:
         assert [r.getMessage() for r in caplog.records] == [
             f"read {path} in one process: the file needs the serial reader"]
 
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_large_crlf_file_is_read_from_bytes(self, tmp_path, monkeypatch, caplog, split):
+        path = self._write(tmp_path, (HEAD + "".join(many_rows(80_000))).replace("\n", "\r\n"))
+        assert path.stat().st_size >= core.SPLIT_BYTES
+        if not split:
+            monkeypatch.setattr(core, "SPLIT_BYTES", path.stat().st_size + 1)
+        monkeypatch.setattr(core, "_convert", None)  # the bytes path reads it all
+        with caplog.at_level(logging.DEBUG, logger="fofr"):
+            outcome = read_outcome(core._read_columns, path)
+        assert no_child_left()
+        assert outcome == read_outcome(reference_read_columns, path) and len(outcome) == 3
+        logged = [r.getMessage() for r in caplog.records]
+        assert logged == ([f"read {path} in two processes: 40121 + 39879 rows"] if split else [])
+
+    def test_header_closed_by_a_lone_cr_is_read_by_the_csv_module(self, tmp_path, caplog):
+        path = self._write(tmp_path, HEAD.replace("\n", "\r") + "".join(many_rows()))
+        expected = read_outcome(reference_read_columns, path)
+        assert len(expected) == 3 and len(expected[1]) == 8 * 1000
+        for read in (partial(read_outcome, core._read_columns), split_read_outcome):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="fofr"):
+                assert read(path) == expected
+            assert [r.getMessage() for r in caplog.records] == [
+                f"read {path} in one process: the file needs the serial reader"]
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_read_by_the_csv_module(self, tmp_path, caplog):
         text = (HEAD + "".join(many_rows())).encode()
@@ -712,9 +746,10 @@ class TestColumnReader:
         values = np.random.default_rng(3).standard_normal((40, 2, grid.size))
         values[::3, :, 0] = -0.0
         predictions = PredictionSet(data.subject_ids, ("y1", "y 2"), grid, values)
-        paths = [tmp_path / "data.csv", tmp_path / "pred.csv"]
+        paths = [tmp_path / "data.csv", tmp_path / "pred.csv", tmp_path / "crlf.csv"]
         write_dataset(data, paths[0])
         write_predictions_csv(predictions, paths[1])
+        paths[2].write_bytes(paths[0].read_bytes().replace(b"\n", b"\r\n"))
 
         def csv_module(*args):
             raise AssertionError("a fofr file reached the csv module")
@@ -727,7 +762,7 @@ class TestColumnReader:
                         else read_outcome(core._read_columns, path)) == expected
             assert len(expected) == 3
         logged = [r.getMessage() for r in caplog.records]
-        assert len(logged) == 2 * split and all("in two processes" in m for m in logged)
+        assert len(logged) == 3 * split and all("in two processes" in m for m in logged)
 
 
 def reference_write_dataset(dataset, path):
