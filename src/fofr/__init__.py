@@ -6,6 +6,15 @@ multivariate functional PCA, and a small fully connected network (or linear
 baseline) between score spaces.
 """
 
+import os
+
+# BLAS runs one thread unless told otherwise, set before numpy loads: the
+# last bits of the covariance smoother's products follow the thread count, so
+# a seed then repeats its bytes whatever the core count.  An explicit setting
+# wins, and a program that loaded numpy before fofr keeps its own count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from fofr.core import (
     DatasetSchema,
     EvalGrid,

@@ -51,7 +51,6 @@ from fofr.fpca import (
     project_univariate,
     reconstruct,
     score_covariance,
-    select_truncation,
     univariate_fpca,
 )
 from fofr.regression import (
@@ -69,7 +68,6 @@ from fofr.regression import (
 from fofr.smoothing import (
     CovarianceSurface,
     KernelSpec,
-    MeanFunction,
     StandardizationParams,
     build_standardization,
     resolve_bandwidths,

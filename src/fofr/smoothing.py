@@ -9,9 +9,10 @@ through the pooled off-diagonal raw cross products, which removes
 measurement-error bias from the diagonal.  Its kernel factorizes over the
 two times and every product stays within one subject, so each moment is a
 sum over subjects of products of per-subject kernel sums, minus the
-diagonal (same observation twice) term collected by site.  No pair is ever
-formed: the cost follows subjects, sites and the grid, and the memory one
-(sites, G) kernel table plus ``SITE_BLOCK`` x 3G rows of its moments.
+diagonal (same observation twice) term collected by site.  No code here
+pools pairs: the smoothers' cost follows subjects, sites and the grid, their
+memory one (sites, G) kernel table plus ``SITE_BLOCK`` x 3G rows of its
+moments, and bandwidth CV scores each held-out subject's m x m products alone.
 
 Both fits end in a closed-form intercept, taken by cofactors element-wise on
 the grid, and one rule names a degenerate window: too little weight mass, or
@@ -235,26 +236,6 @@ def smooth_mean(series_set, kernel: KernelSpec, grid: EvalGrid) -> MeanFunction:
     return MeanFunction(grid, out)
 
 
-def _raw_pairs(series_set, mean: MeanFunction):
-    """Pooled off-diagonal raw covariance products (t1, t2, U)."""
-    t1_parts, t2_parts, u_parts = [], [], []
-    for s in series_set:
-        m = len(s)
-        if m < 2:
-            continue
-        resid = s.values - mean.at(s.times)
-        prod = np.outer(resid, resid)
-        off = ~np.eye(m, dtype=bool)
-        tt1 = np.broadcast_to(s.times[:, None], (m, m))
-        tt2 = np.broadcast_to(s.times[None, :], (m, m))
-        t1_parts.append(tt1[off])
-        t2_parts.append(tt2[off])
-        u_parts.append(prod[off])
-    if not t1_parts:
-        raise NoPairs("no subject has at least 2 observations")
-    return (np.concatenate(t1_parts), np.concatenate(t2_parts), np.concatenate(u_parts))
-
-
 def _subject_sums(lengths, site_of, resid, w0, sites, grid: EvalGrid):
     """Per-subject sums of the (3G,) rows [W0, W1, W2] at each subject's
     sites, from ``w0``, the W0 table at ``sites``: ``C`` weighs every row by
@@ -393,9 +374,20 @@ def bandwidth_candidates(series_set, grid: EvalGrid) -> np.ndarray:
     return np.geomspace(lo, hi, N_CANDIDATES)
 
 
+def _grid_cells(grid: EvalGrid, t: np.ndarray):
+    """Left grid index i and weight a of each time t: a grid-tabulated
+    surface F interpolates linearly along an axis as (1 - a) F[i] + a F[i + 1]."""
+    p = grid.points
+    i = np.clip(np.searchsorted(p, t) - 1, 0, len(p) - 2)
+    return i, (t - p[i]) / (p[i + 1] - p[i])
+
+
 def _cv_errors(series_set, family: str, grid: EvalGrid, target: str):
     """Bandwidth candidates and their subject-level CV errors (inf where a
-    fold's fit degenerates, or where no fold can score)."""
+    fold's fit degenerates, or where no fold can score).  The mean scores
+    every held-out value; the covariance scores every held-out subject's
+    off-diagonal residual products r r' against the fitted surface, which
+    it interpolates bilinearly at that subject's time pairs."""
     series_set = list(series_set)
     candidates = bandwidth_candidates(series_set, grid)
     n = min(N_FOLDS, len(series_set))  # fold f tests subjects f, f + n, ...
@@ -411,22 +403,29 @@ def _cv_errors(series_set, family: str, grid: EvalGrid, target: str):
         base_mean = smooth_mean(series_set, mid, grid)
         # a fold whose test subjects hold no within-subject pair scores nothing
         splits = [(train, test) for train, test in splits if any(len(s) > 1 for s in test)]
-        held_out = [_raw_pairs(test, base_mean) for _, test in splits]
+        held_out = [[(s.values - base_mean.at(s.times), *_grid_cells(grid, s.times))
+                     for s in test if len(s) > 1] for _, test in splits]
 
     errors = np.full(len(candidates), np.inf)
     for k, h in enumerate(candidates):
         sse, cnt = 0.0, 0
         try:
-            for (train, _), (*at, y) in zip(splits, held_out):
+            for (train, _), held in zip(splits, held_out):
                 if target == "mean":
                     fit = smooth_mean(train, KernelSpec(family, bandwidth_mean=float(h)), grid)
-                    resid = y - fit.at(*at)
+                    resid = held[1] - fit.at(held[0])
+                    sse += float(np.dot(resid, resid))
+                    cnt += len(resid)
                 else:
                     spec = KernelSpec(family, bandwidth_cov=float(h))
-                    fit = smooth_covariance(train, base_mean, spec, grid)
-                    resid = y - _interp2(grid, fit.values, *at)
-                sse += float(np.dot(resid, resid))
-                cnt += len(y)
+                    F = smooth_covariance(train, base_mean, spec, grid).values
+                    for r, i, a in held:
+                        # the surface at the subject's (t, t') pairs: rows, then columns
+                        rows = (1 - a)[:, None] * F[i] + a[:, None] * F[i + 1]
+                        resid = np.outer(r, r) - ((1 - a) * rows[:, i] + a * rows[:, i + 1])
+                        np.fill_diagonal(resid, 0.0)
+                        sse += float(np.vdot(resid, resid))
+                        cnt += len(r) * (len(r) - 1)
         except (DegenerateWindow, NonFiniteFit, NoPairs):
             continue
         if cnt:
@@ -451,14 +450,3 @@ def select_bandwidth(series_set, family: str, grid: EvalGrid, target: str) -> fl
     best = float(np.min(errors[finite]))
     ok = errors <= best + 1e-12 * (1.0 + best)
     return float(candidates[np.flatnonzero(ok)[0]])
-
-
-def _interp2(grid: EvalGrid, surface: np.ndarray, t1, t2):
-    """Bilinear interpolation of a grid-tabulated surface."""
-    p = grid.points
-    i = np.clip(np.searchsorted(p, t1) - 1, 0, len(p) - 2)
-    j = np.clip(np.searchsorted(p, t2) - 1, 0, len(p) - 2)
-    a = (t1 - p[i]) / (p[i + 1] - p[i])
-    b = (t2 - p[j]) / (p[j + 1] - p[j])
-    return ((1 - a) * (1 - b) * surface[i, j] + a * (1 - b) * surface[i + 1, j]
-            + (1 - a) * b * surface[i, j + 1] + a * b * surface[i + 1, j + 1])

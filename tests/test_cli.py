@@ -77,6 +77,32 @@ class TestImports:
         assert done.stdout == "[]\n"
 
 
+class TestBlasThreads:
+    def test_default_is_one_thread(self, tmp_path):
+        # the covariance smoother's last bits follow the BLAS thread count, so
+        # a train with the thread variables unset must write the same bytes as
+        # one with them set to 1, whatever the machine's core count
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fofr.__file__)))
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {k: v for k, v in os.environ.items() if k not in names}
+        unset["PYTHONPATH"] = src
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "dense"}))
+
+        def fofr_cli(env, *argv):
+            subprocess.run([sys.executable, "-m", "fofr.cli", *argv], env=env, check=True,
+                           capture_output=True)
+
+        fofr_cli(unset, "synth", "--scenario", str(scenario), "--out-dir", str(tmp_path))
+        models = []
+        for env in (unset, {**unset, **dict.fromkeys(names, "1")}):
+            models.append(tmp_path / f"model{len(models)}.json")
+            fofr_cli(env, "train", "--data", str(tmp_path / "data.csv"),
+                     "--schema", str(tmp_path / "schema.json"),
+                     "--model-out", str(models[-1]), "--baseline", "fflm")
+        assert models[0].read_bytes() == models[1].read_bytes()
+
+
 class TestSynth:
     def test_creates_three_files(self, synthesized):
         _, out_dir = synthesized

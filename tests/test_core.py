@@ -490,6 +490,10 @@ DIALECT_CASES = [
                  id="quoted-newline"),
     pytest.param((HEAD + ROW * 3).replace("\n", "\r\n"), None, id="crlf"),
     pytest.param((HEAD + ROW * 3).replace("\n", "\r"), None, id="cr"),
+    # a header whose line end differs from its rows'
+    pytest.param(HEAD.replace("\n", "\r") + ROW * 3, None, id="cr-header-lf-rows"),
+    pytest.param(HEAD.replace("\n", "\r\n") + ROW * 3, None, id="crlf-header-lf-rows"),
+    pytest.param(HEAD + (ROW * 3).replace("\n", "\r\n"), None, id="lf-header-crlf-rows"),
     # no LF to end a block at, so the block grows past the field size limit
     pytest.param((HEAD + ROW * 6000).replace("\n", "\r"), None, id="cr-past-the-field-limit"),
     pytest.param(HEAD + ROW + "\n" + ROW, "expected 5 fields, got 0", id="blank-line"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from fofr import smoothing, synthgen
-from fofr.core import Interval, ObservationSeries, make_grid
+from fofr.core import EvalGrid, Interval, ObservationSeries, make_grid
 from fofr.errors import AllCandidatesDegenerate, DegenerateWindow, NoPairs, NonFiniteFit
 from fofr.smoothing import (
     MASS_FLOOR,
@@ -23,11 +23,9 @@ from fofr.smoothing import (
     StandardizationParams,
     _cv_errors,
     _intercept,
-    _interp2,
     _kernel_table,
     _kernel_weights,
     _moment_tables,
-    _raw_pairs,
     _subject_sums,
     bandwidth_candidates,
     build_standardization,
@@ -52,6 +50,37 @@ def random_series_set(rng, n_subjects=6, m_lo=5, m_hi=12, fn=None):
         v = fn(t) if fn is not None else rng.standard_normal(m)
         out.append(ObservationSeries(t, v))
     return out
+
+
+def _raw_pairs(series_set, mean: MeanFunction):
+    """Pooled off-diagonal raw covariance products (t1, t2, U)."""
+    t1_parts, t2_parts, u_parts = [], [], []
+    for s in series_set:
+        m = len(s)
+        if m < 2:
+            continue
+        resid = s.values - mean.at(s.times)
+        prod = np.outer(resid, resid)
+        off = ~np.eye(m, dtype=bool)
+        tt1 = np.broadcast_to(s.times[:, None], (m, m))
+        tt2 = np.broadcast_to(s.times[None, :], (m, m))
+        t1_parts.append(tt1[off])
+        t2_parts.append(tt2[off])
+        u_parts.append(prod[off])
+    if not t1_parts:
+        raise NoPairs("no subject has at least 2 observations")
+    return (np.concatenate(t1_parts), np.concatenate(t2_parts), np.concatenate(u_parts))
+
+
+def _interp2(grid: EvalGrid, surface: np.ndarray, t1, t2):
+    """Bilinear interpolation of a grid-tabulated surface."""
+    p = grid.points
+    i = np.clip(np.searchsorted(p, t1) - 1, 0, len(p) - 2)
+    j = np.clip(np.searchsorted(p, t2) - 1, 0, len(p) - 2)
+    a = (t1 - p[i]) / (p[i + 1] - p[i])
+    b = (t2 - p[j]) / (p[j + 1] - p[j])
+    return ((1 - a) * (1 - b) * surface[i, j] + a * (1 - b) * surface[i + 1, j]
+            + (1 - a) * b * surface[i, j + 1] + a * b * surface[i + 1, j + 1])
 
 
 def wls_mean_oracle(series_set, kernel, grid):
@@ -251,6 +280,34 @@ def assert_cv_matches_loop_reference(series_set, grid, target):
     assert select_bandwidth(series_set, "gaussian", grid, target) == ref_candidates[pick]
 
 
+def cv_design(design):
+    """(series, grid) of one design bandwidth CV must match the loop reference
+    on: a random ragged one (an integer seed), all subjects at the same
+    times, times on both grid ends and on grid points, or every subject at
+    exactly two times."""
+    grid = make_grid(Interval(0, 1), 15)
+    rng = np.random.default_rng(design if isinstance(design, int) else 79)
+
+    def noisy(t):
+        t = np.asarray(t, dtype=float)
+        return ObservationSeries(t, np.sin(2 * np.pi * t) + rng.standard_normal(len(t)))
+
+    if design == "shared-times":
+        return [noisy(np.linspace(0.0, 1.0, 21)) for _ in range(12)], grid
+    if design == "grid-times":
+        # each subject holds both grid ends, a few inner grid points and a
+        # few times between them
+        return [noisy(np.unique(np.concatenate([
+            grid.points[[0, -1]], rng.choice(grid.points[1:-1], 4, replace=False),
+            rng.uniform(0.0, 1.0, 3)]))) for _ in range(11)], grid
+    if design == "two-points":
+        return [noisy(np.sort(rng.choice(np.linspace(0.0, 1.0, 41), 2, replace=False)))
+                for _ in range(40)], grid
+    series = random_series_set(rng, n_subjects=11, m_lo=4, m_hi=10,
+                               fn=lambda t: np.sin(2 * np.pi * t) + rng.standard_normal(len(t)))
+    return series, grid
+
+
 def assert_matches_cov_oracle(series_set, kernel, grid, rtol=1e-8, atol=1e-10):
     mean = smooth_mean(series_set, kernel, grid)
     fit = smooth_covariance(series_set, mean, kernel, grid)
@@ -446,8 +503,6 @@ class TestCovarianceSmoother:
         kernel = KernelSpec("gaussian", bandwidth_mean=0.2, bandwidth_cov=0.2)
         with pytest.raises(NoPairs):
             smooth_covariance(singles, mean, kernel, grid)
-        with pytest.raises(NoPairs):
-            _raw_pairs(singles, mean)
 
 
 def synth_channel(n_subjects, sampling):
@@ -766,12 +821,22 @@ class TestBandwidths:
         assert a == b
 
     @pytest.mark.parametrize("target", ["mean", "covariance"])
-    @pytest.mark.parametrize("seed", [71, 72])
-    def test_cv_matches_loop_reference(self, target, seed):
-        rng = np.random.default_rng(seed)
-        series = random_series_set(rng, n_subjects=11, m_lo=4, m_hi=10,
-                                   fn=lambda t: np.sin(2 * np.pi * t) + rng.standard_normal(len(t)))
-        assert_cv_matches_loop_reference(series, make_grid(Interval(0, 1), 15), target)
+    @pytest.mark.parametrize("design", [71, 72, "shared-times", "grid-times", "two-points"])
+    def test_cv_matches_loop_reference(self, target, design):
+        assert_cv_matches_loop_reference(*cv_design(design), target)
+
+    def test_covariance_cv_memory_stays_below_the_pooled_pairs(self):
+        # a dense channel: 100 subjects at 61 shared times hold 366,000
+        # within-subject pairs, which as pooled (t, t', U) arrays take 8.8 MB
+        series, grid = synth_channel(100, ("dense", 61))
+        pooled = 3 * 8 * sum(len(s) * (len(s) - 1) for s in series)
+        tracemalloc.start()
+        try:
+            _cv_errors(series, "gaussian", grid, "covariance")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pooled
 
     def test_cv_fold_without_validation_pairs(self):
         # the fifth fold tests one single-observation subject, so it scores no
