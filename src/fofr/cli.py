@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 from fofr.core import (
     PREDICTIONS_HEADER,
     _config_from_json,
+    _check_ints,
     _read_json,
     _read_series,
+    _write_json,
     _write_long_csv,
     load_dataset,
     load_schema,
@@ -51,6 +53,7 @@ class SplitConfig:
     test_data_out: str = ""
 
     def __post_init__(self):
+        _check_ints(self, ("seed",))
         if not 0.0 <= self.test_fraction <= 0.5 or self.seed < 0:
             raise ValueError(f"test_fraction must lie in [0, 0.5] and seed be >= 0, "
                              f"got {self.test_fraction} and {self.seed}")
@@ -136,8 +139,7 @@ def cmd_train(args) -> int:
     model, diagnostics = train_pipeline(dataset, config)
     save_model(model, model_out)
     if diagnostics_out:
-        with open(diagnostics_out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(diagnostics, sort_keys=True) + "\n")
+        _write_json(diagnostics_out, diagnostics)
     if args.json:
         print(json.dumps({"model": model_out, "L": diagnostics["n_inputs"],
                           "P": diagnostics["n_outputs"],
@@ -190,9 +192,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate_csv(args.predictions, args.truth)
     doc = report.to_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, doc)
     if args.json:
         print(json.dumps(doc, sort_keys=True))
     else:

@@ -48,6 +48,20 @@ MIN_POOLED_SPAN = 0.9
 logger = logging.getLogger("fofr")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer: a numpy integer is, a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_ints(obj, names=(), optional=(), error: type = ValueError):
+    """Make each field of ``obj`` in ``names``, or in ``optional`` and not None, a
+    Python int once ``_is_int`` accepts it; raises ``error`` naming a field it does not."""
+    for name in (*names, *(n for n in optional if getattr(obj, n) is not None)):
+        if not _is_int(getattr(obj, name)):
+            raise error(f"{name} must be an integer, got {getattr(obj, name)!r}")
+        object.__setattr__(obj, name, int(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class Interval:
     """A compact time interval [lo, hi]."""
@@ -110,11 +124,9 @@ class EvalGrid:
     """Equispaced evaluation grid with trapezoidal quadrature weights."""
 
     points: np.ndarray
-    quad_weights: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "quad_weights", np.asarray(self.quad_weights, dtype=float))
 
     @property
     def size(self) -> int:
@@ -124,16 +136,18 @@ class EvalGrid:
     def interval(self) -> Interval:
         return Interval(float(self.points[0]), float(self.points[-1]))
 
+    @property
+    def quad_weights(self) -> np.ndarray:
+        """The spacing at every point, halved at both ends."""
+        h = (self.points[-1] - self.points[0]) / (self.size - 1)
+        return np.concatenate(([h / 2.0], np.full(self.size - 2, h), [h / 2.0]))
+
 
 def make_grid(domain: Interval, g: int) -> EvalGrid:
-    """Build a g-point equispaced grid over ``domain`` with trapezoid weights."""
+    """Build a g-point equispaced grid over ``domain``."""
     if g < 2:
         raise BadGridSize(f"grid needs at least 2 points, got {g}")
-    points = np.linspace(domain.lo, domain.hi, g)
-    h = domain.length / (g - 1)
-    weights = np.full(g, h)
-    weights[0] = weights[-1] = h / 2.0
-    return EvalGrid(points, weights)
+    return EvalGrid(np.linspace(domain.lo, domain.hi, g))
 
 
 @dataclass(frozen=True)
@@ -254,6 +268,7 @@ class DatasetSchema:
         overlap = set(self.covariates) & set(self.responses)
         if overlap:
             raise MalformedRow(f"variables declared as both covariate and response: {sorted(overlap)}")
+        _check_ints(self, ("grid_size",), error=MalformedRow)
 
     def to_dict(self) -> dict:
         return {
@@ -277,6 +292,13 @@ def _read_json(path, error: type):
             return json.load(fh)
         except ValueError as exc:
             raise error(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _write_json(path, doc, indent=None):
+    """Write ``doc`` to ``path`` as JSON with sorted keys and a closing newline."""
+    # json.dumps encodes in C (without indent); json.dump always runs the Python encoder
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
 
 
 #: JSON types that a field of each annotated type accepts; a field whose type
@@ -810,6 +832,4 @@ def write_dataset(dataset: FunctionalDataset, path):
 
 
 def write_schema(schema: DatasetSchema, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, schema.to_dict(), indent=2)

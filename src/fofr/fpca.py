@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fofr.core import EvalGrid
+from fofr.core import EvalGrid, _check_ints
 from fofr.errors import (
     BlockMismatch,
     ChannelCountMismatch,
@@ -38,6 +38,7 @@ class TruncationRule:
     def __post_init__(self):
         if not 0.0 < self.fve_cutoff <= 1.0:
             raise ValueError(f"fve_cutoff must lie in (0, 1], got {self.fve_cutoff}")
+        _check_ints(self, optional=("max_components",))
         if self.max_components is not None and self.max_components < 1:
             raise ValueError("max_components must be >= 1")
 
@@ -115,7 +116,7 @@ def _leading_eigen(A: np.ndarray, rule: TruncationRule, failed: str, empty: str)
         raise EigenFailure(failed) from exc
     lam = lam[::-1]
     vec = vec[:, ::-1]
-    if lam[0] <= 0:
+    if not len(lam) or lam[0] <= 0:
         raise EmptySpectrum(empty)
     keep = lam >= EIGENVALUE_FLOOR_REL * lam[0]
     lam, vec = lam[keep], vec[:, keep]

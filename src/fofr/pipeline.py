@@ -25,7 +25,9 @@ from fofr.core import (
     _check_coverage,
     _config_from_json,
     _first_outside,
+    _check_ints,
     _read_json,
+    _write_json,
     make_grid,
 )
 from fofr.errors import (
@@ -101,16 +103,9 @@ class PipelineConfig:
                            _checked_hidden(self.hidden_widths, self.hidden_activation))
         if self.regressor not in ("nn", "fflm"):
             raise ValueError(f"regressor must be 'nn' or 'fflm', got {self.regressor!r}")
+        _check_ints(self, ("grid_size_s", "grid_size_t", "seed"))
         if not (0 <= self.ridge < np.inf and self.seed >= 0):
             raise ValueError("ridge must be finite and non-negative, seed non-negative")
-        # the network trains with ``seed``, and validates only with both knobs
-        if self.train.seed not in (0, self.seed):
-            raise BadConfig(f"train.seed {self.train.seed} is not used: "
-                            f"the network trains with seed {self.seed}")
-        if (self.train.val_fraction > 0) != (self.train.early_stop_patience is not None):
-            raise BadConfig("train.val_fraction and train.early_stop_patience take effect "
-                            "only together; turn early stopping off with val_fraction: 0 "
-                            "and early_stop_patience: null")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden_widths": list(self.hidden_widths)}
@@ -143,7 +138,6 @@ class TrainedModel:
     regressor_kind: str             # "nn" or "fflm"
     regressor: object               # NetworkParams or FflmParams
     config: dict                    # config snapshot
-    format_version: str = MODEL_FORMAT_VERSION
 
     @property
     def n_inputs(self) -> int:
@@ -166,10 +160,14 @@ class PredictionSet:
 class MetricsReport:
     channel_names: tuple
     rmse: tuple        # mean squared error per point, as printed in the source metric
-    rmse_sqrt: tuple   # square root of the above, for conventional comparison
     rmspe: tuple
     n_subjects: int
     n_excluded_rmspe: tuple
+
+    @property
+    def rmse_sqrt(self) -> tuple:
+        """The square root of each ``rmse``, for conventional comparison."""
+        return tuple(float(np.sqrt(mse)) for mse in self.rmse)
 
     def to_dict(self) -> dict:
         return {
@@ -186,9 +184,8 @@ class MetricsReport:
     def to_table(self) -> str:
         header = f"{'channel':<12}{'rmse':>14}{'rmse_sqrt':>14}{'rmspe':>14}"
         lines = [header, "-" * len(header)]
-        for d, name in enumerate(self.channel_names):
-            lines.append(f"{name:<12}{self.rmse[d]:>14.6g}{self.rmse_sqrt[d]:>14.6g}"
-                         f"{self.rmspe[d]:>14.6g}")
+        for name, mse, root, pe in zip(self.channel_names, self.rmse, self.rmse_sqrt, self.rmspe):
+            lines.append(f"{name:<12}{mse:>14.6g}{root:>14.6g}{pe:>14.6g}")
         return "\n".join(lines)
 
 
@@ -250,6 +247,9 @@ def _fit_side(channels, names, domain, grid_size, kernel, rule, side_label, subj
                "bandwidth_cov": float(resolved.bandwidth_cov),
                "variance_floor": floor, "n_variance_clipped": int(np.sum(variance < floor)),
                "n_observations": len(times), "n_sites": len(np.unique(times))}
+        if fit["n_variance_clipped"]:
+            logger.warning("%s: variance function clipped at %d of %d grid points (floor %.3g)",
+                           label, fit["n_variance_clipped"], grid.size, floor)
         uni_rule = _capped(rule, min(len(subject_ids) - 1, grid.size))
         with _stage(f"fpca/{label}"):
             try:
@@ -341,8 +341,7 @@ def train_pipeline(data: FunctionalDataset, config: PipelineConfig):
         else:
             spec = NetworkSpec(l, config.hidden_widths, p, config.hidden_activation,
                                seed=config.seed)
-            train_cfg = replace(config.train, seed=config.seed)
-            regressor, log = train_network(spec, train_cfg, inputs, targets)
+            regressor, log = train_network(spec, config.train, inputs, targets)
             diagnostics["regressor"] = {"kind": "nn", "n_params": count_params(spec),
                                         **asdict(log)}
     diagnostics["n_inputs"] = l
@@ -416,7 +415,7 @@ def _score_series(predicted: dict, observed: dict, channels, truth_subjects) -> 
         logger.warning("evaluating %d common subjects (%d truth, %d predicted)",
                        len(common), len(truth_subjects), len(predicted_subjects))
 
-    rmse, rmse_sqrt, rmspe, excluded = [], [], [], []
+    rmse, rmspe, excluded = [], [], []
     for name in channels:
         sse, n_obs = 0.0, 0
         ratios, n_zero = [], 0
@@ -437,11 +436,10 @@ def _score_series(predicted: dict, observed: dict, channels, truth_subjects) -> 
             raise NoOverlap(f"channel {name!r}: no overlapping observations")
         mse = sse / n_obs
         rmse.append(mse)
-        rmse_sqrt.append(float(np.sqrt(mse)))
         rmspe.append(float(np.mean(ratios)) if ratios else 0.0)
         excluded.append(n_zero)
-    return MetricsReport(tuple(channels), tuple(rmse), tuple(rmse_sqrt),
-                         tuple(rmspe), len(common), tuple(excluded))
+    return MetricsReport(tuple(channels), tuple(rmse), tuple(rmspe), len(common),
+                         tuple(excluded))
 
 
 def split_subjects(dataset: FunctionalDataset, test_fraction: float, seed: int):
@@ -581,14 +579,12 @@ def model_to_dict(model: TrainedModel) -> dict:
         "regressor": _regressor_to_dict(model.regressor_kind, model.regressor),
         "config": model.config,
     }
-    return {"format_version": model.format_version, "checksum": _checksum(payload),
+    return {"format_version": MODEL_FORMAT_VERSION, "checksum": _checksum(payload),
             "payload": payload}
 
 
 def save_model(model: TrainedModel, path):
-    # json.dumps encodes in C; json.dump to a file always runs the Python encoder
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(model_to_dict(model), sort_keys=True) + "\n")
+    _write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> TrainedModel:

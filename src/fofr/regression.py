@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from fofr.core import _check_ints, _is_int
 from fofr.errors import DivergenceDetected, ShapeMismatch
 
 ACTIVATIONS = ("elu", "relu", "tanh")
@@ -34,6 +35,7 @@ class NetworkSpec:
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths",
                            _checked_hidden(self.hidden_widths, self.hidden_activation))
+        _check_ints(self, ("input_dim", "output_dim", "seed"), error=ShapeMismatch)
         if self.input_dim < 1 or self.output_dim < 1:
             raise ShapeMismatch("input_dim and output_dim must be >= 1")
 
@@ -59,8 +61,7 @@ def _checked_hidden(hidden_widths, hidden_activation: str) -> tuple:
     an integer >= 1 (a numpy integer passes; a bool, float or string does
     not) and ``hidden_activation`` to be one of ACTIVATIONS; raises ValueError."""
     widths = tuple(hidden_widths)
-    if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 1
-               for w in widths):
+    if not all(_is_int(w) and w >= 1 for w in widths):
         raise ValueError(f"hidden_widths must be integers >= 1, got {list(widths)}")
     if hidden_activation not in ACTIVATIONS:
         raise ValueError(f"unknown hidden activation {hidden_activation!r}")
@@ -80,13 +81,12 @@ class TrainConfig:
     #: stop on the loss of val_fraction of the samples, held out; 0 and None turn it off
     early_stop_patience: int | None = 100
     val_fraction: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.epochs, int) or self.epochs < 0:
-            raise ValueError(f"epochs must be a non-negative integer, got {self.epochs!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        _check_ints(self, ("epochs", "batch_size"), ("early_stop_patience",))
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError(f"epochs must be >= 0 and batch_size >= 1, got {self.epochs}, "
+                             f"{self.batch_size}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -101,6 +101,9 @@ class TrainConfig:
                 f"early_stop_patience must be >= 1, got {self.early_stop_patience!r}")
         if not 0.0 <= self.val_fraction <= 0.5:
             raise ValueError("val_fraction must lie in [0, 0.5]")
+        if (self.val_fraction > 0) != (self.early_stop_patience is not None):
+            raise ValueError("val_fraction and early_stop_patience work only together; turn early "
+                             "stopping off with val_fraction: 0 and early_stop_patience: null")
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,7 @@ def _in_place_update(config: TrainConfig, theta: np.ndarray):
 
 def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
                   targets: np.ndarray):
-    """Mini-batch training of the score-space network; deterministic per seed.
+    """Mini-batch training of the score-space network; deterministic per ``spec.seed``.
 
     Returns (NetworkParams, TrainLog).  When early stopping is configured the
     parameters at the best validation loss are returned; otherwise the final
@@ -280,9 +283,9 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
             f"data dims ({X.shape[1]}, {T.shape[1]}) do not match spec "
             f"({spec.input_dim}, {spec.output_dim})")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(spec.seed)
     n = X.shape[0]
-    use_val = config.val_fraction > 0 and config.early_stop_patience is not None
+    use_val = config.val_fraction > 0
     if use_val:
         val, tr = np.split(rng.permutation(n), [max(1, int(round(config.val_fraction * n)))])
         X_val, T_val, X_tr, T_tr = X[val], T[val], X[tr], T[tr]

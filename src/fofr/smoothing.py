@@ -21,7 +21,6 @@ a determinant that is not positive and finite.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +32,6 @@ from fofr.errors import (
     NoPairs,
     NonFiniteFit,
 )
-
-logger = logging.getLogger("fofr")
 
 KERNEL_FAMILIES = ("gaussian", "epanechnikov")
 
@@ -88,7 +85,7 @@ class KernelSpec:
             if isinstance(bw, str):
                 if bw not in (AUTO, PLUGIN):
                     raise ValueError(f"{name} must be a float, 'auto' or 'plugin'")
-            elif not (np.isfinite(bw) and bw > 0):
+            elif isinstance(bw, bool) or not (np.isfinite(bw) and bw > 0):
                 raise ValueError(f"{name} must be positive, got {bw}")
 
     def weights(self, u: np.ndarray) -> np.ndarray:
@@ -336,13 +333,8 @@ def variance_floor(diag: np.ndarray) -> float:
 
 def variance_function(surface: CovarianceSurface) -> np.ndarray:
     """Surface diagonal, clipped from below at the variance floor."""
-    diag = np.diag(surface.values).copy()
-    floor = variance_floor(diag)
-    n_clip = int(np.sum(diag < floor))
-    if n_clip:
-        logger.warning("variance function clipped at %d of %d grid points (floor %.3g)",
-                       n_clip, len(diag), floor)
-    return np.maximum(diag, floor)
+    diag = np.diag(surface.values)
+    return np.maximum(diag, variance_floor(diag))
 
 
 def build_standardization(mean: MeanFunction, surface: CovarianceSurface) -> StandardizationParams:

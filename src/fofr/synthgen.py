@@ -9,7 +9,6 @@ against ground truth is returned alongside the dataset.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -22,8 +21,10 @@ from fofr.core import (
     ObservationSeries,
     _checked_series,
     _config_from_json,
+    _is_int,
     _json_object,
     _read_json,
+    _write_json,
     make_grid,
 )
 from fofr.errors import BadScenario, DuplicateTimestamp, IndexOutOfRange, MalformedRow
@@ -55,7 +56,8 @@ class SynthScenario:
             if not all(map(_is_real, lams)):
                 raise BadScenario(f"{name} must be numbers, got {list(lams)!r}")
             object.__setattr__(self, name, tuple(float(v) for v in lams))
-        object.__setattr__(self, "sampling", tuple(self.sampling))
+        object.__setattr__(self, "sampling",
+                           tuple(int(v) if _is_int(v) else v for v in self.sampling))
         self._validate()
 
     def _validate(self):
@@ -64,6 +66,7 @@ class SynthScenario:
             value = getattr(self, name)
             if not _is_int(value) or value < 0:
                 raise BadScenario(f"{name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_subjects < 2:
             raise BadScenario("need at least 2 subjects")
         if self.covariate_channels < 1 or self.response_channels < 1:
@@ -108,10 +111,6 @@ class SynthScenario:
                  self.fourier_order_x, self.eigenvalues_x),
                 ("response", self.response_domain, self.response_channels,
                  self.fourier_order_y, self.eigenvalues_y))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -359,9 +358,7 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
 
 
 def save_ground_truth(truth: GroundTruth, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ground_truth_to_dict(truth), fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, ground_truth_to_dict(truth))
 
 
 def preset_scenario(name: str) -> SynthScenario:

@@ -266,6 +266,18 @@ class TestTrain:
         assert name in err
         assert not (tmp / "m.json").exists()
 
+    def test_train_seed_is_an_unknown_key(self, synthesized, capsys):
+        # the network's weights, validation split and batch order follow pipeline.seed
+        tmp, out_dir = synthesized
+        (tmp / "config.json").write_text('{"pipeline": {"train": {"seed": 0}}}')
+        code, _, err = run(capsys, "train", "--config", str(tmp / "config.json"),
+                           "--data", str(out_dir / "data.csv"),
+                           "--schema", str(out_dir / "schema.json"),
+                           "--model-out", str(tmp / "m.json"), "--baseline", "fflm")
+        assert code == 2
+        assert err == "error: pipeline.train: unknown key 'seed'\n"
+        assert not (tmp / "m.json").exists()
+
     def test_diagnostics_are_deterministic(self, synthesized, capsys):
         tmp, out_dir = synthesized
         (tmp / "config.json").write_text('{"pipeline": {"train": {"epochs": 20}}}')

@@ -22,6 +22,7 @@ from fofr.core import (
     CSV_HEADER,
     PREDICTIONS_HEADER,
     DatasetSchema,
+    EvalGrid,
     FunctionalDataset,
     Interval,
     ObservationSeries,
@@ -94,6 +95,19 @@ class TestMakeGrid:
         assert np.isclose(np.sum(grid.quad_weights), width, rtol=1e-12)
         assert grid.size == g
         assert np.all(np.diff(grid.points) > 0)
+
+    @given(st.integers(min_value=2, max_value=400),
+           st.floats(min_value=-50, max_value=50),
+           st.floats(min_value=0.01, max_value=100))
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_weights_follow_from_the_points(self, g, lo, width):
+        domain = Interval(lo, lo + width)
+        h = domain.length / (g - 1)
+        trapezoid = np.full(g, h)
+        trapezoid[0] = trapezoid[-1] = h / 2.0
+        grid = EvalGrid(np.linspace(domain.lo, domain.hi, g))
+        np.testing.assert_array_equal(grid.quad_weights, trapezoid, strict=True)
+        np.testing.assert_array_equal(make_grid(domain, g).quad_weights, trapezoid, strict=True)
 
     def test_trapezoid_integrates_linear_exactly(self):
         grid = make_grid(Interval(0.0, 1.0), 11)

@@ -258,6 +258,10 @@ class TestMultivariateFpca:
         back = project_multivariate(curves, multi)
         np.testing.assert_allclose(back, scores, atol=1e-6)
 
+    def test_no_systems_is_an_empty_spectrum(self):
+        with pytest.raises(EmptySpectrum, match="no positive eigenvalues"):
+            multivariate_fpca([], np.zeros((0, 0)), TruncationRule())
+
     def test_block_mismatch(self):
         _, systems, xi = self._two_channel_setup()
         with pytest.raises(BlockMismatch):

@@ -3,12 +3,13 @@
 import hashlib
 import io
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from fofr.core import FunctionalDataset, Interval, ObservationSeries, make_grid
+from fofr.cli import SplitConfig
+from fofr.core import DatasetSchema, FunctionalDataset, Interval, ObservationSeries, make_grid
 from fofr import pipeline
 from fofr.errors import (
     BadConfig,
@@ -16,12 +17,16 @@ from fofr.errors import (
     CorruptArtifact,
     DomainViolation,
     EmptySpectrum,
+    MalformedRow,
     NoOverlap,
     PipelineError,
+    ShapeMismatch,
     TooSparse,
     VersionMismatch,
 )
+from fofr.fpca import TruncationRule
 from fofr.pipeline import (
+    MetricsReport,
     PipelineConfig,
     PredictionSet,
     evaluate,
@@ -32,9 +37,9 @@ from fofr.pipeline import (
     split_subjects,
     train_pipeline,
 )
-from fofr.regression import TrainConfig, fit_fflm, forward, predict_fflm
+from fofr.regression import NetworkSpec, TrainConfig, fit_fflm, forward, predict_fflm
 from fofr.smoothing import KernelSpec, standardize
-from fofr.synthgen import generate, preset_scenario
+from fofr.synthgen import SynthScenario, generate, preset_scenario
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +151,21 @@ class TestTrain:
         widths = PipelineConfig(hidden_widths=np.array([8, 4])).hidden_widths
         assert widths == (8, 4) and all(type(w) is int for w in widths)
 
+    def test_variance_clip_is_logged_once_under_its_channel(self, caplog):
+        # 60 subjects at about 4 points each leave a few covariance-diagonal
+        # values below the floor on x1 and y1
+        sc = replace(preset_scenario("dense"), n_subjects=60, sampling=("irregular", 4, 2))
+        data, _ = generate(sc)
+        with caplog.at_level("WARNING", logger="fofr"):
+            _, diag = train_pipeline(data, PipelineConfig(regressor="fflm"))
+        clipped = [f"{side}/channel={ch['channel']}: variance function clipped at "
+                   f"{ch['n_variance_clipped']} of 101 grid points"
+                   for side in ("covariate", "response") for ch in diag[side]["channels"]
+                   if ch["n_variance_clipped"]]
+        logged = [r.getMessage() for r in caplog.records if "clipped" in r.getMessage()]
+        assert len(clipped) == 2 and len(logged) == len(clipped)
+        assert all(line.startswith(prefix) for line, prefix in zip(logged, clipped))
+
     def test_requires_responses(self, small_linear):
         data, _ = small_linear
         bare = FunctionalDataset(
@@ -168,6 +188,39 @@ class TestTrain:
         with pytest.raises(PipelineError) as err:
             train_pipeline(data, cfg)
         assert err.value.stage.startswith("smoothing/covariate")
+
+    @pytest.mark.parametrize("cls, args, field, value, error", [
+        pytest.param(*case, id=f"{case[0].__name__}.{case[2]}={case[3]!r}") for case in [
+            (TrainConfig, (), "batch_size", 2.5, ValueError),
+            (TrainConfig, (), "epochs", True, ValueError),
+            (TrainConfig, (), "early_stop_patience", 2.5, ValueError),
+            (PipelineConfig, (), "grid_size_s", 2.5, ValueError),
+            (PipelineConfig, (), "grid_size_t", True, ValueError),
+            (PipelineConfig, (), "seed", 1.5, ValueError),
+            (SplitConfig, (), "seed", 1.5, ValueError),
+            (DatasetSchema, (("x1",), ("y1",), Interval(0, 1), Interval(0, 1)), "grid_size",
+             2.5, MalformedRow),
+            (KernelSpec, (), "bandwidth_mean", True, ValueError),
+            (KernelSpec, (), "bandwidth_cov", True, ValueError),
+            (TruncationRule, (), "max_components", True, ValueError),
+            (NetworkSpec, (), "input_dim", True, ShapeMismatch),
+            (NetworkSpec, (4,), "output_dim", 2.0, ShapeMismatch),
+            (NetworkSpec, (4,), "seed", 1.5, ShapeMismatch)]])
+    def test_library_configs_reject_a_bool_or_a_non_integer(self, cls, args, field, value,
+                                                             error):
+        with pytest.raises(error, match=field):
+            cls(*args, **{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        i = np.int64
+        configs = [TrainConfig(epochs=i(5), batch_size=np.int32(8), early_stop_patience=i(3)),
+                   PipelineConfig(grid_size_s=i(51), grid_size_t=i(41), seed=i(2)),
+                   SplitConfig(seed=i(1)), TruncationRule(max_components=i(2)),
+                   NetworkSpec(i(3), (4,), i(2), seed=i(1)),
+                   DatasetSchema(("x1",), ("y1",), Interval(0, 1), Interval(0, 1), i(51)),
+                   SynthScenario(n_subjects=i(30), sampling=("irregular", 3.0, i(2)), seed=i(4))]
+        for config in configs:
+            json.dumps(asdict(config))  # a numpy integer is not JSON serializable
 
     def test_config_round_trip(self):
         cfg = PipelineConfig(regressor="fflm", hidden_widths=(8, 4), ridge=0.1,
@@ -361,6 +414,11 @@ class TestEvaluate:
             report = evaluate(half, data)
         assert report.n_subjects == 30
         assert any("common subjects" in r.message for r in caplog.records)
+
+    def test_rmse_sqrt_is_the_root_of_rmse(self):
+        report = MetricsReport(("y1", "y2"), (4.0, 2.0), (0.25, 0.5), 3, (0, 1))
+        assert report.rmse_sqrt == (2.0, float(np.sqrt(2.0)))
+        assert [ch["rmse_sqrt"] for ch in report.to_dict()["channels"]] == [2.0, np.sqrt(2.0)]
 
     def test_no_overlap(self, small_linear, fflm_model):
         data, _ = small_linear

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fofr import pipeline
-from fofr.errors import BadConfig, DivergenceDetected, ShapeMismatch
+from fofr.errors import DivergenceDetected, ShapeMismatch
 from fofr.pipeline import PipelineConfig
 from fofr.regression import (
     DIVERGENCE_RATIO,
@@ -68,7 +68,7 @@ def _reference_gradients(params, X, T):
 def _reference_train(spec, config, X, T):
     """Mini-batch training with one optimizer update per weight and bias array:
     the oracle that the flat-vector ``train_network`` must match bit for bit."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(spec.seed)
     n = X.shape[0]
     use_val = config.val_fraction > 0 and config.early_stop_patience is not None
     if use_val:
@@ -143,7 +143,7 @@ class TestFlatTrainingMatchesReference:
         stop = (dict(val_fraction=0.25, early_stop_patience=10) if early_stop
                 else dict(val_fraction=0.0, early_stop_patience=None))
         cfg = TrainConfig(epochs=60, batch_size=16, learning_rate=5e-2, optimizer=optimizer,
-                          seed=29, **stop)
+                          **stop)
         params, log = train_network(spec, cfg, X, T)
         ref_params, ref_log = _reference_train(spec, cfg, X, T)
         for a, b in zip(params.weights + params.biases, ref_params.weights + ref_params.biases):
@@ -159,7 +159,7 @@ class TestFlatTrainingMatchesReference:
     def test_diverges_at_the_same_epoch(self, optimizer, learning_rate):
         X, T = self._data(seed=31)
         spec = NetworkSpec(3, (8, 4), 2, seed=37)
-        cfg = TrainConfig(epochs=50, learning_rate=learning_rate, optimizer=optimizer, seed=41,
+        cfg = TrainConfig(epochs=50, learning_rate=learning_rate, optimizer=optimizer,
                           val_fraction=0.0, early_stop_patience=None)
         messages = []
         for train in (train_network, _reference_train):
@@ -239,7 +239,7 @@ class TestTraining:
         X = rng.standard_normal((200, 4))
         T = X @ B.T
         spec = NetworkSpec(4, (16,), 2, seed=7)
-        cfg = TrainConfig(epochs=300, batch_size=32, learning_rate=1e-2, seed=7)
+        cfg = TrainConfig(epochs=300, batch_size=32, learning_rate=1e-2)
         params, log = train_network(spec, cfg, X, T)
         assert log.train_loss[-1] < 1e-3
         assert log.train_loss[-1] < log.train_loss[0]
@@ -249,7 +249,7 @@ class TestTraining:
         X = rng.standard_normal((50, 3))
         T = rng.standard_normal((50, 2))
         spec = NetworkSpec(3, (8,), 2, seed=11)
-        cfg = TrainConfig(epochs=20, seed=11)
+        cfg = TrainConfig(epochs=20)
         p1, l1 = train_network(spec, cfg, X, T)
         p2, l2 = train_network(spec, cfg, X, T)
         for a, b in zip(p1.weights, p2.weights):
@@ -262,7 +262,7 @@ class TestTraining:
         T = rng.standard_normal((60, 2))  # pure noise: validation loss plateaus
         spec = NetworkSpec(3, (8,), 2, seed=13)
         cfg = TrainConfig(epochs=500, learning_rate=5e-2, val_fraction=0.25,
-                          early_stop_patience=10, seed=13)
+                          early_stop_patience=10)
         params, log = train_network(spec, cfg, X, T)
         assert log.best_epoch is not None
         assert len(log.val_loss) < 500  # stopped early
@@ -273,7 +273,7 @@ class TestTraining:
         X = 1e3 * rng.standard_normal((40, 3))
         T = 1e3 * rng.standard_normal((40, 2))
         spec = NetworkSpec(3, (8,), 2, seed=17)
-        cfg = TrainConfig(epochs=200, learning_rate=1e12, optimizer="sgd", seed=17)
+        cfg = TrainConfig(epochs=200, learning_rate=1e12, optimizer="sgd")
         with np.errstate(all="ignore"), pytest.raises(DivergenceDetected):
             train_network(spec, cfg, X, T)
 
@@ -286,7 +286,7 @@ class TestTraining:
     def test_runaway_loss_detected(self):
         # finite at every epoch, but far above the untrained network's loss
         X, T = self._linear_scores()
-        cfg = TrainConfig(epochs=100, learning_rate=1e6, seed=21)
+        cfg = TrainConfig(epochs=100, learning_rate=1e6)
         with np.errstate(all="ignore"), pytest.raises(DivergenceDetected, match="epoch 0"):
             train_network(NetworkSpec(4, (16,), 3, seed=21), cfg, X, T)
 
@@ -294,7 +294,7 @@ class TestTraining:
         # the loss peaks at about 23 times the initial loss, then falls below it
         X, T = self._linear_scores()
         spec = NetworkSpec(4, (16,), 3, seed=21)
-        cfg = TrainConfig(epochs=100, learning_rate=1.0, seed=21)
+        cfg = TrainConfig(epochs=100, learning_rate=1.0)
         params, log = train_network(spec, cfg, X, T)
         assert len(log.train_loss) == 100
         assert max(log.train_loss) > 10 * mse_loss(init_network(spec), X, T)
@@ -306,7 +306,7 @@ class TestTraining:
         X = rng.standard_normal((100, 3))
         T = X @ rng.standard_normal((2, 3)).T
         spec = NetworkSpec(3, (8,), 2, seed=19)
-        cfg = TrainConfig(epochs=100, learning_rate=1e-2, optimizer=opt, seed=19)
+        cfg = TrainConfig(epochs=100, learning_rate=1e-2, optimizer=opt)
         _, log = train_network(spec, cfg, X, T)
         assert log.train_loss[-1] < 0.5 * log.train_loss[0]
 
@@ -329,17 +329,13 @@ class TestTraining:
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
         TrainConfig(momentum=0.0, adam_beta1=0.0, adam_beta2=0.0, early_stop_patience=1)
-        # a pipeline trains with its own seed, and validates only with both knobs
-        for train, key in ((TrainConfig(seed=99), "train.seed"),
-                           (TrainConfig(val_fraction=0.0), "train.val_fraction"),
-                           (TrainConfig(early_stop_patience=None), "train.early_stop_patience")):
-            with pytest.raises(BadConfig, match=key):
-                PipelineConfig(train=train)
-        PipelineConfig(train=TrainConfig(seed=4), seed=4)
-        PipelineConfig(train=TrainConfig(val_fraction=0.2, early_stop_patience=5))
-        PipelineConfig(train=TrainConfig(val_fraction=0.0, early_stop_patience=None))
-        with pytest.raises(BadConfig, match="val_fraction: 0 and early_stop_patience: null"):
-            PipelineConfig(train=TrainConfig(early_stop_patience=None))
+        # the network validates only with both knobs
+        for bad in (dict(val_fraction=0.0), dict(early_stop_patience=None)):
+            with pytest.raises(ValueError, match="only together; .* val_fraction: 0 and "
+                                                 "early_stop_patience: null"):
+                TrainConfig(**bad)
+        TrainConfig(val_fraction=0.2, early_stop_patience=5)
+        TrainConfig(val_fraction=0.0, early_stop_patience=None)
 
 
 class TestRoundingStability:
