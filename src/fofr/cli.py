@@ -19,6 +19,7 @@ from fofr.core import (
     PREDICTIONS_HEADER,
     _config_from_json,
     _check_ints,
+    _is_real,
     _read_json,
     _read_series,
     _write_json,
@@ -54,7 +55,8 @@ class SplitConfig:
 
     def __post_init__(self):
         _check_ints(self, ("seed",))
-        if not 0.0 <= self.test_fraction <= 0.5 or self.seed < 0:
+        if not (_is_real(self.test_fraction) and 0.0 <= self.test_fraction <= 0.5
+                and self.seed >= 0):
             raise ValueError(f"test_fraction must lie in [0, 0.5] and seed be >= 0, "
                              f"got {self.test_fraction} and {self.seed}")
 

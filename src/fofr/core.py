@@ -53,6 +53,11 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a number: an integer or a float is, a bool is not."""
+    return _is_int(value) or isinstance(value, float)
+
+
 def _check_ints(obj, names=(), optional=(), error: type = ValueError):
     """Make each field of ``obj`` in ``names``, or in ``optional`` and not None, a
     Python int once ``_is_int`` accepts it; raises ``error`` naming a field it does not."""
@@ -145,8 +150,8 @@ class EvalGrid:
 
 def make_grid(domain: Interval, g: int) -> EvalGrid:
     """Build a g-point equispaced grid over ``domain``."""
-    if g < 2:
-        raise BadGridSize(f"grid needs at least 2 points, got {g}")
+    if not _is_int(g) or g < 2:
+        raise BadGridSize(f"grid needs an integer number of points >= 2, got {g!r}")
     return EvalGrid(np.linspace(domain.lo, domain.hi, g))
 
 

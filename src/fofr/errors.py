@@ -9,8 +9,8 @@ carries the command-line exit code, so the class of an error decides it:
   scenarios and bad run configurations.
 - ``RuntimeFailure`` (exit 3): well-formed input on which a stage failed.
   Smoothing, FPCA and regression errors, persistence errors (channel
-  mismatches, corrupt or version-mismatched artifacts), ``PipelineError``,
-  which wraps a stage's error, and ``IndexOutOfRange``.
+  mismatches, corrupt or version-mismatched artifacts) and ``PipelineError``,
+  which wraps a stage's error.
 """
 
 
@@ -152,8 +152,4 @@ class PipelineError(RuntimeFailure):
 # --- synthetic generator ---
 
 class BadScenario(InputError):
-    pass
-
-
-class IndexOutOfRange(RuntimeFailure):
     pass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fofr.core import EvalGrid, _check_ints
+from fofr.core import EvalGrid, _check_ints, _is_real
 from fofr.errors import (
     BlockMismatch,
     ChannelCountMismatch,
@@ -36,7 +36,7 @@ class TruncationRule:
     max_components: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.fve_cutoff <= 1.0:
+        if not _is_real(self.fve_cutoff) or not 0.0 < self.fve_cutoff <= 1.0:
             raise ValueError(f"fve_cutoff must lie in (0, 1], got {self.fve_cutoff}")
         _check_ints(self, optional=("max_components",))
         if self.max_components is not None and self.max_components < 1:

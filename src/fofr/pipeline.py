@@ -26,6 +26,7 @@ from fofr.core import (
     _config_from_json,
     _first_outside,
     _check_ints,
+    _is_real,
     _read_json,
     _write_json,
     make_grid,
@@ -104,7 +105,7 @@ class PipelineConfig:
         if self.regressor not in ("nn", "fflm"):
             raise ValueError(f"regressor must be 'nn' or 'fflm', got {self.regressor!r}")
         _check_ints(self, ("grid_size_s", "grid_size_t", "seed"))
-        if not (0 <= self.ridge < np.inf and self.seed >= 0):
+        if not (_is_real(self.ridge) and 0 <= self.ridge < np.inf and self.seed >= 0):
             raise ValueError("ridge must be finite and non-negative, seed non-negative")
 
     def to_dict(self) -> dict:

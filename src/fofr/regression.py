@@ -3,9 +3,9 @@ backpropagation, and the closed-form linear baseline between score spaces.
 
 Training keeps every weight and bias as a view into one flat parameter
 vector, writes the backward pass into one flat gradient buffer, and runs one
-fused SGD, momentum or Adam update on the flat arrays per step.  Each element
-goes through the same operations in the same order as a per-layer update
-would, so the trained parameters and losses are unchanged by the layout.
+fused Adam update on the flat arrays per step.  Each element goes through the
+same operations in the same order as a per-layer update would, so the trained
+parameters and losses are unchanged by the layout.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fofr.core import _check_ints, _is_int
+from fofr.core import _check_ints, _is_int, _is_real
 from fofr.errors import DivergenceDetected, ShapeMismatch
 
 ACTIVATIONS = ("elu", "relu", "tanh")
-OPTIMIZERS = ("sgd", "sgd_momentum", "adam")
+#: Kingma & Ba's Adam constants: the moment decay rates and the denominator's epsilon
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 #: an epoch whose training loss is not finite, or exceeds this multiple of
 #: the initial network's loss, has diverged
 DIVERGENCE_RATIO = 1e3
@@ -73,11 +74,6 @@ class TrainConfig:
     epochs: int = 2000
     batch_size: int = 32
     learning_rate: float = 1e-2
-    optimizer: str = "adam"
-    momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     #: stop on the loss of val_fraction of the samples, held out; 0 and None turn it off
     early_stop_patience: int | None = 100
     val_fraction: float = 0.2
@@ -87,20 +83,13 @@ class TrainConfig:
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError(f"epochs must be >= 0 and batch_size >= 1, got {self.epochs}, "
                              f"{self.batch_size}")
-        if not 0 < self.learning_rate < np.inf:
+        if not _is_real(self.learning_rate) or not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("momentum", "adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if not 0 < self.adam_eps < np.inf:
-            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps!r}")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError(
                 f"early_stop_patience must be >= 1, got {self.early_stop_patience!r}")
-        if not 0.0 <= self.val_fraction <= 0.5:
-            raise ValueError("val_fraction must lie in [0, 0.5]")
+        if not _is_real(self.val_fraction) or not 0.0 <= self.val_fraction <= 0.5:
+            raise ValueError(f"val_fraction must lie in [0, 0.5], got {self.val_fraction!r}")
         if (self.val_fraction > 0) != (self.early_stop_patience is not None):
             raise ValueError("val_fraction and early_stop_patience work only together; turn early "
                              "stopping off with val_fraction: 0 and early_stop_patience: null")
@@ -230,39 +219,6 @@ def _layer_views(flat: np.ndarray, dims: list):
     return weights, biases
 
 
-def _in_place_update(config: TrainConfig, theta: np.ndarray):
-    """The in-place optimizer step ``update(grad, step)`` on the flat vector
-    ``theta``, with its state allocated once.  Every element runs the
-    operations of ``theta -= lr * g`` (sgd), ``m = mu * m + g;
-    theta -= lr * m`` (sgd_momentum) or Kingma & Ba's Adam, in that order."""
-    lr = config.learning_rate
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
-
-    if config.optimizer == "sgd":
-        def update(g, step):
-            nonlocal theta
-            theta -= g * lr
-    elif config.optimizer == "sgd_momentum":
-        mu = config.momentum
-
-        def update(g, step):
-            nonlocal theta, m
-            m *= mu
-            m += g
-            theta -= m * lr
-    else:
-        b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
-
-        def update(g, step):
-            nonlocal theta, m, v
-            m *= b1
-            m += g * (1 - b1)
-            v *= b2
-            v += g * (1 - b2) * g
-            theta -= m / (1 - b1 ** step) * lr / (np.sqrt(v / (1 - b2 ** step)) + eps)
-    return update
-
-
 def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
                   targets: np.ndarray):
     """Mini-batch training of the score-space network; deterministic per ``spec.seed``.
@@ -299,7 +255,8 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
     params = NetworkParams(*_layer_views(theta, dims), spec.hidden_activation)
     grad = np.zeros_like(theta)
     grads_w, grads_b = _layer_views(grad, dims)
-    update = _in_place_update(config, theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)  # Adam's moment estimates
+    lr = config.learning_rate
     initial_loss = mse_loss(params, X_tr, T_tr)
     log = TrainLog()
     best_loss, best_theta = np.inf, None
@@ -312,7 +269,12 @@ def train_network(spec: NetworkSpec, config: TrainConfig, inputs: np.ndarray,
             idx = order[lo:lo + batch]
             _backprop(params, X_tr[idx], T_tr[idx], grads_w, grads_b)
             log.steps += 1
-            update(grad, log.steps)
+            m *= ADAM_BETA1
+            m += grad * (1 - ADAM_BETA1)
+            v *= ADAM_BETA2
+            v += grad * (1 - ADAM_BETA2) * grad
+            theta -= (m / (1 - ADAM_BETA1 ** log.steps) * lr
+                      / (np.sqrt(v / (1 - ADAM_BETA2 ** log.steps)) + ADAM_EPS))
         train_loss = mse_loss(params, X_tr, T_tr)
         if not train_loss <= DIVERGENCE_RATIO * initial_loss:  # also when NaN
             raise DivergenceDetected(f"training diverged at epoch {epoch}: loss "

@@ -22,12 +22,13 @@ from fofr.core import (
     _checked_series,
     _config_from_json,
     _is_int,
+    _is_real,
     _json_object,
     _read_json,
     _write_json,
     make_grid,
 )
-from fofr.errors import BadScenario, DuplicateTimestamp, IndexOutOfRange, MalformedRow
+from fofr.errors import BadScenario, DuplicateTimestamp, MalformedRow
 
 TRUTH_GRID_SIZE = 201
 
@@ -88,9 +89,9 @@ class SynthScenario:
             raise BadScenario("linear mapping cannot raise the rank: need P <= L")
         if self.mapping == "quadratic" and ly > 2 * lx:
             raise BadScenario("quadratic mapping needs P <= 2L")
-        if not 0 <= self.noise_sd < np.inf:
+        if not _is_real(self.noise_sd) or not 0 <= self.noise_sd < np.inf:
             raise BadScenario(f"noise_sd must be finite and >= 0, got {self.noise_sd!r}")
-        if not np.isfinite(self.mean_scale):
+        if not _is_real(self.mean_scale) or not np.isfinite(self.mean_scale):
             raise BadScenario(f"mean_scale must be finite, got {self.mean_scale!r}")
         kind, *design = self.sampling or (None,)
         if kind == "dense":
@@ -111,10 +112,6 @@ class SynthScenario:
                  self.fourier_order_x, self.eigenvalues_x),
                 ("response", self.response_domain, self.response_channels,
                  self.fourier_order_y, self.eigenvalues_y))
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class PlantedBasis:
@@ -166,14 +163,6 @@ class GroundTruth:
     response_scores: np.ndarray   # (N, P)
     mapping_matrices: dict        # {"B": ...} or {"B1": ..., "B2": ...}
     noiseless_responses: np.ndarray  # (N, D, G)
-
-
-def oracle_scores(ground_truth: GroundTruth, subject: int):
-    """The exact (covariate, response) score vectors used in generation."""
-    n = ground_truth.covariate_scores.shape[0]
-    if not 0 <= subject < n:
-        raise IndexOutOfRange(f"subject {subject} outside [0, {n})")
-    return ground_truth.covariate_scores[subject], ground_truth.response_scores[subject]
 
 
 def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

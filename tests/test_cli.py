@@ -218,6 +218,7 @@ class TestTrain:
         '{"pipeline": {"train": {"epochs": "many"}}}',
         '{"pipeline": {"train": {"bogus": 1}}}',
         '{"pipeline": {"train": {"learning_rate": Infinity}}}',
+        # removed keys (the optimizer is Adam): unknown, so exit 2 whatever the value
         '{"pipeline": {"train": {"momentum": -3}}}',
         '{"pipeline": {"train": {"adam_beta1": 1.0}}}',
         '{"pipeline": {"train": {"adam_beta2": 1.5}}}',
@@ -276,6 +277,19 @@ class TestTrain:
                            "--model-out", str(tmp / "m.json"), "--baseline", "fflm")
         assert code == 2
         assert err == "error: pipeline.train: unknown key 'seed'\n"
+        assert not (tmp / "m.json").exists()
+
+    def test_optimizer_is_an_unknown_key(self, synthesized, capsys):
+        # the network trains with Adam, whose constants are not settings
+        tmp, out_dir = synthesized
+        (tmp / "config.json").write_text('{"pipeline": {"train": {"optimizer": "adam"}}}')
+        code, _, err = run(capsys, "train", "--config", str(tmp / "config.json"),
+                           "--data", str(out_dir / "data.csv"),
+                           "--schema", str(out_dir / "schema.json"),
+                           "--model-out", str(tmp / "m.json"))
+        assert code == 2
+        assert_one_error_line(err)
+        assert "unknown key 'optimizer'" in err
         assert not (tmp / "m.json").exists()
 
     def test_diagnostics_are_deterministic(self, synthesized, capsys):

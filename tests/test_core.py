@@ -118,6 +118,12 @@ class TestMakeGrid:
         with pytest.raises(BadGridSize):
             make_grid(Interval(0, 1), 1)
 
+    @pytest.mark.parametrize("g", [2.5, 11.0, True, "11"])
+    def test_rejects_a_non_integer_size(self, g):
+        with pytest.raises(BadGridSize, match="integer number of points"):
+            make_grid(Interval(0, 1), g)
+        assert make_grid(Interval(0, 1), np.int64(11)).size == 11
+
 
 class TestSchema:
     def test_round_trip(self, tmp_path):

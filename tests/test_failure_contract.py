@@ -63,7 +63,7 @@ WRONG_TYPES = {
                  "train.momentum": True, "train.adam_beta1": "0.9", "train.adam_beta2": [0.999],
                  "train.adam_eps": {}, "train.early_stop_patience": "5",
                  "train.val_fraction": False, "bogus": 1, "train.bogus": 1,
-                 # the network trains with the pipeline's seed
+                 # the network trains with the pipeline's seed, and with Adam's fixed constants
                  "train.seed": 0.0},
 }
 
@@ -226,7 +226,8 @@ def test_wrong_types_name_every_key():
     assert set(WRONG_TYPES["pipeline"]) == (
         keys(PipelineConfig) | keys(KernelSpec, "kernel_x.")
         | keys(TruncationRule, "truncation_x.") | keys(TrainConfig, "train.")
-        | {"bogus", "train.bogus", "train.seed"})
+        | {"bogus", "train.bogus", "train.seed", "train.optimizer", "train.momentum",
+           "train.adam_beta1", "train.adam_beta2", "train.adam_eps"})
 
 
 @pytest.mark.parametrize("kind, key, value", [

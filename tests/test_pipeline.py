@@ -13,6 +13,7 @@ from fofr.core import DatasetSchema, FunctionalDataset, Interval, ObservationSer
 from fofr import pipeline
 from fofr.errors import (
     BadConfig,
+    BadScenario,
     ChannelMismatch,
     CorruptArtifact,
     DomainViolation,
@@ -210,6 +211,21 @@ class TestTrain:
                                                              error):
         with pytest.raises(error, match=field):
             cls(*args, **{field: value})
+
+    @pytest.mark.parametrize("cls, kwargs, error", [
+        pytest.param(*case, id=f"{case[0].__name__}.{next(iter(case[1]))}") for case in [
+            (TrainConfig, dict(learning_rate=True), ValueError),
+            (TrainConfig, dict(val_fraction=False, early_stop_patience=None), ValueError),
+            (PipelineConfig, dict(ridge=True), ValueError),
+            (TruncationRule, dict(fve_cutoff=True), ValueError),
+            (SplitConfig, dict(test_fraction=False), ValueError),
+            (SynthScenario, dict(noise_sd=False), BadScenario),
+            (SynthScenario, dict(mean_scale=True), BadScenario)]])
+    def test_float_settings_reject_a_bool(self, cls, kwargs, error):
+        name = next(iter(kwargs))
+        with pytest.raises(error, match=name):
+            cls(**kwargs)
+        cls(**{**kwargs, name: float(kwargs[name])})  # the same value as a number passes
 
     def test_numpy_integers_become_ints(self):
         i = np.int64

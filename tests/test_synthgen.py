@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fofr.core import FunctionalDataset, Interval, ObservationSeries, make_grid
-from fofr.errors import BadScenario, DuplicateTimestamp, IndexOutOfRange, MalformedRow
+from fofr.errors import BadScenario, DuplicateTimestamp, MalformedRow
 from fofr.synthgen import (
     TRUTH_GRID_SIZE,
     GroundTruth,
@@ -22,7 +22,6 @@ from fofr.synthgen import (
     generate,
     ground_truth_to_dict,
     load_scenario,
-    oracle_scores,
     preset_scenario,
     scenario_from_dict,
 )
@@ -165,12 +164,11 @@ class TestGenerate:
         assert min(lengths) >= 5
 
     def test_oracle_scores_bounds(self):
+        # one row of planted scores per subject, one column per planted component
         sc = replace(preset_scenario("linear"), n_subjects=5)
         _, truth = generate(sc)
-        xi, theta = oracle_scores(truth, 0)
-        assert xi.shape == (4,) and theta.shape == (3,)
-        with pytest.raises(IndexOutOfRange):
-            oracle_scores(truth, 5)
+        assert truth.covariate_scores.shape == (5, 4)
+        assert truth.response_scores.shape == (5, 3)
 
 
 def reference_draw_series(scenario, basis, channel, scores, rng):
